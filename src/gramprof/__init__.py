@@ -9,8 +9,8 @@ metrics and category-importance analyses build on those scores.
 
 __version__ = "0.1.0"
 
-from .conllu import (TargetSpec, Token, load_targets, match_targets, parse_conllu,
-                     parse_feats, strip_deprel_subtype)
+from .conllu import (TargetSpec, Token, load_targets, parse_conllu, parse_feats,
+                     strip_deprel_subtype)
 from .decision import (average_binary, classify_changepoint, classify_topn,
                        rank_words, round_half_up)
 from .errors import ConfigError, ConlluParseError, DataError, GramprofError
@@ -34,7 +34,7 @@ __all__ = [
     "category_correlations", "classify_changepoint", "classify_topn",
     "combine_append_max", "combine_average", "cosine_distance",
     "extract_profiles", "filter_rare", "load_gold", "load_targets", "macro_f1",
-    "match_targets", "merge_profiles", "parse_conllu", "parse_feats",
+    "merge_profiles", "parse_conllu", "parse_feats",
     "rank_words", "round_half_up", "score_basic", "score_period_pair",
     "score_separated", "score_word_pair", "separate_categories", "spearman",
     "standardize", "strip_deprel_subtype", "timeline", "train_logreg",

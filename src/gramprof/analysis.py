@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,10 @@ from scipy.stats import rankdata, t as t_distribution
 from .errors import ConfigError, DataError
 from .evaluation import accuracy, macro_f1
 from .profiles import Profile, separate_categories
-from .scoring import MethodConfig, score_basic, score_separated
+from .scoring import MethodConfig, score_period_pair
+# bench/spans.py patches these two names on this module by attribute, so
+# they stay bound here although build_feature_matrix no longer calls them.
+from .scoring import score_basic, score_separated  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -80,27 +83,24 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
                          ) -> FeatureMatrix:
     """Assemble the word x category distance matrix for one period pair.
 
-    Category distances follow the separated-scoring rules (filtering
-    after separation); the syntactic distance is appended as its own
-    column. A category a word expresses in neither period yields a 0
-    cell flagged as missing.
+    The cells are the per-category and syntactic distances of the
+    ``combination --separate`` score (filtering after separation), with
+    the syntactic distance as its own last column. A category a word
+    expresses in neither period yields a 0 cell flagged as missing, and
+    so does syntax for a word with no dependency relation in either
+    period.
     """
     period_a, period_b = pair
-    word_ids = sorted({word_id for word_id, _ in profiles})
+    scores = score_period_pair(profiles, pair, replace(
+        config, feature_kind="combination", separation=True))
     per_word: dict[str, dict[str, float]] = {}
-    all_categories: set[str] = set()
-    for word_id in word_ids:
-        profile_a = profiles[(word_id, period_a)]
-        profile_b = profiles[(word_id, period_b)]
-        per_category, _ = score_separated(
-            separate_categories(profile_a), separate_categories(profile_b), config
-        )
-        if profile_a.synt or profile_b.synt:
-            per_category[SYNTAX_COLUMN] = score_basic(profile_a, profile_b,
-                                                      "syntax", config)
-        per_word[word_id] = per_category
-        all_categories.update(per_category)
-    columns = sorted(all_categories - {SYNTAX_COLUMN}) + [SYNTAX_COLUMN]
+    for score in scores:
+        word_id = score.word_id
+        cells = per_word[word_id] = dict(score.per_category)
+        if profiles[(word_id, period_a)].synt or profiles[(word_id, period_b)].synt:
+            cells[SYNTAX_COLUMN] = score.d_synt
+    word_ids = list(per_word)
+    columns = sorted(set().union(*per_word.values()) - {SYNTAX_COLUMN}) + [SYNTAX_COLUMN]
     values = np.zeros((len(word_ids), len(columns)))
     missing = np.ones((len(word_ids), len(columns)), dtype=bool)
     for i, word_id in enumerate(word_ids):

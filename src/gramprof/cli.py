@@ -13,10 +13,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 import yaml
 
@@ -30,6 +32,7 @@ from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1,
     per_class_f1, spearman
 from .profiles import ProfileStore, extract_profiles
 from .scoring import MethodConfig, score_period_pair
+from .tsv import read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -122,64 +125,42 @@ def load_dataset_spec(path) -> DatasetSpec:
 # ----------------------------------------------------------------------
 # small I/O helpers
 
-def _open_output(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """Stdout when ``path`` is None or ``-``, else the file, closed on
+    exit. A path that cannot be opened for writing is a ConfigError."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    try:
+        stream = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+    with stream:
+        yield stream
+
+
+def _parse_score(columns: list[str]) -> float:
+    value = float(columns[1])
+    if not math.isfinite(value):
+        raise ValueError(f"score {columns[1]!r} is not finite")
+    return value
+
+
+def _parse_label(columns: list[str]) -> int:
+    if columns[1] not in ("0", "1"):
+        raise ValueError(f"label {columns[1]!r} is not 0 or 1")
+    return int(columns[1])
 
 
 def _read_score_tsv(path) -> dict[str, float]:
-    """Read ``word_id<TAB>score`` lines."""
-    scores: dict[str, float] = {}
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    with f:
-        for line_number, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) < 2:
-                raise DataError(f"{path}: line {line_number}: expected "
-                                f"word_id<TAB>score")
-            try:
-                value = float(columns[1])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_number}: {exc}")
-            if columns[0] in scores:
-                raise DataError(f"{path}: line {line_number}: duplicate word "
-                                f"{columns[0]!r}")
-            scores[columns[0]] = value
-        if not scores:
-            raise DataError(f"{path}: no scores found")
-    return scores
+    """Read ``word_id<TAB>score`` lines; scores must be finite."""
+    return read_tsv(path, _parse_score, "word_id<TAB>score", DataError, 2)
 
 
 def _read_label_tsv(path) -> dict[str, int]:
     """Read ``word_id<TAB>{0|1}`` lines."""
-    labels: dict[str, int] = {}
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    with f:
-        for line_number, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) < 2 or columns[1] not in ("0", "1"):
-                raise DataError(f"{path}: line {line_number}: expected "
-                                f"word_id<TAB>0|1")
-            if columns[0] in labels:
-                raise DataError(f"{path}: line {line_number}: duplicate word "
-                                f"{columns[0]!r}")
-            labels[columns[0]] = int(columns[1])
-        if not labels:
-            raise DataError(f"{path}: no labels found")
-    return labels
+    return read_tsv(path, _parse_label, "word_id<TAB>0|1", DataError, 2)
 
 
 def _load_store(path) -> ProfileStore:
@@ -205,14 +186,13 @@ def _resolve_pair(store: ProfileStore, pair: Optional[list[str]]) -> tuple[str, 
     return a, b
 
 
-def _method_config(args) -> MethodConfig:
+def _method_config(args, **method) -> MethodConfig:
+    """MethodConfig from the filter flags; ``method`` sets the rest."""
     return MethodConfig(
-        feature_kind=getattr(args, "features", "morphology"),
-        separation=getattr(args, "separate", True),
-        aggregation=getattr(args, "aggregate", "max"),
         filter_threshold=args.filter,
         zero_profile_distance=args.zero_distance,
         per_period_filter=args.filter_per_period,
+        **method,
     )
 
 
@@ -273,8 +253,8 @@ def cmd_extract(args) -> int:
             "strip_deprel_subtype": args.strip_deprel_subtype,
         },
     )
-    with open(args.output, "w", encoding="utf-8") as f:
-        store.save(f)
+    with _output(args.output) as stream:
+        store.save(stream)
     for word_id in store.word_ids:
         counts = "  ".join(f"{period}={store.get(word_id, period).total}"
                            for period in store.periods)
@@ -288,12 +268,12 @@ def cmd_extract(args) -> int:
 def cmd_score(args) -> int:
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
-    config = _method_config(args)
+    config = _method_config(args, feature_kind=args.features,
+                            separation=args.separate, aggregation=args.aggregate)
     scores = score_period_pair(store.profiles, pair, config)
     by_word = {s.word_id: s for s in scores}
     ranking = rank_words({s.word_id: s.aggregate for s in scores})
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         if args.explain:
             categories = sorted({c for s in scores for c in s.per_category})
             header = ["word_id", "score", "d_morph", "d_synt"] + categories
@@ -309,9 +289,6 @@ def cmd_score(args) -> int:
         else:
             for word_id, aggregate in ranking:
                 stream.write(f"{word_id}\t{aggregate:.6f}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -325,13 +302,9 @@ def cmd_classify(args) -> int:
         if not 0.0 <= ratio <= 1.0:
             raise ConfigError(f"--ratio must be in [0, 1], got {ratio}")
         labels = classify_topn(ranking, ratio)
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         for word_id, _ in ranking:
             stream.write(f"{word_id}\t{labels[word_id]}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -364,13 +337,7 @@ def cmd_analyze(args) -> int:
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     gold_records = load_gold(args.gold)
-    config = MethodConfig(
-        feature_kind="combination", separation=True,
-        filter_threshold=args.filter,
-        zero_profile_distance=args.zero_distance,
-        per_period_filter=args.filter_per_period,
-    )
-    matrix = build_feature_matrix(store.profiles, pair, config)
+    matrix = build_feature_matrix(store.profiles, pair, _method_config(args))
     if args.subset_suffix:
         keep = [w for w in matrix.word_ids if w.endswith(args.subset_suffix)]
         if not keep:
@@ -434,16 +401,12 @@ def cmd_timeline(args) -> int:
     profiles_by_period = {period: store.get(args.word, period)
                           for period in store.periods}
     rows = timeline(profiles_by_period, args.category)
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["period", "value", "count", "proportion"])
         for row in rows:
             writer.writerow([row.period, row.value, row.count,
                              f"{row.proportion:.6f}"])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -460,13 +423,9 @@ def cmd_combine_labels(args) -> int:
     labels_a = _read_label_tsv(args.labels_a)
     labels_b = _read_label_tsv(args.labels_b)
     combined = average_binary(labels_a, labels_b)
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         for word_id in sorted(combined):
             stream.write(f"{word_id}\t{combined[word_id]}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

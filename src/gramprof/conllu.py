@@ -1,10 +1,10 @@
 """Streaming CONLL-U reader and target-word matching.
 
 Only the fields needed for grammatical profiling are kept per token:
-surface form, lemma, UPOS, the raw FEATS string, the dependency
-relation and the head index. Multiword-token ranges (``3-4``) and
-empty nodes (``5.1``) are skipped; their morphology is absent or
-redundant with the member tokens.
+surface form, lemma, UPOS, the raw FEATS string and the dependency
+relation. Multiword-token ranges (``3-4``) and empty nodes (``5.1``)
+are skipped; their morphology is absent or redundant with the member
+tokens.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ConfigError, ConlluParseError
+from .tsv import read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -27,7 +28,6 @@ class Token(NamedTuple):
     upos: str
     feats: str        # raw FEATS column, "_" when empty
     deprel: str
-    head: int         # 0 = root; 0 also when the HEAD column is not an integer
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
         token_id = columns[0]
         if "-" in token_id or "." in token_id:
             continue  # multiword range or empty node
-        try:
-            head = int(columns[6])
-        except ValueError:
-            head = 0
         sentence.append(
             Token(
                 form=columns[1],
@@ -117,28 +113,10 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
                 upos=columns[3],
                 feats=columns[5],
                 deprel=columns[7],
-                head=head,
             )
         )
     if sentence:
         yield sentence
-
-
-def sentence_to_lines(sentence: list[Token]) -> list[str]:
-    """Serialize tokens back to 10-column CONLL-U lines.
-
-    Columns not kept on Token (XPOS, DEPS, MISC) are emitted as ``_``;
-    IDs are renumbered 1..n. Re-parsing the output yields Token values
-    identical to the input.
-    """
-    lines = []
-    for i, t in enumerate(sentence, start=1):
-        lines.append(
-            "\t".join(
-                [str(i), t.form, t.lemma, t.upos, "_", t.feats, str(t.head), t.deprel, "_", "_"]
-            )
-        )
-    return lines
 
 
 def open_corpus(path) -> IO[str]:
@@ -201,41 +179,19 @@ class TargetIndex:
                     break
 
 
-def match_targets(sentence: Iterable[Token], targets: Iterable[TargetSpec],
-                  case_fold: bool = False, match_field: str = "lemma"
-                  ) -> list[tuple[str, Token]]:
-    """Match one sentence against a set of targets.
-
-    Convenience wrapper over TargetIndex; build the index yourself when
-    matching many sentences.
-    """
-    return list(TargetIndex(targets, case_fold, match_field).match(sentence))
-
-
 def load_targets(path) -> list[TargetSpec]:
     """Read a target list file.
 
     One record per line: ``word_id<TAB>lemma[<TAB>upos1,upos2]``.
     Blank lines and ``#`` comments are ignored.
     """
-    targets = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) not in (2, 3):
-                raise ConfigError(
-                    f"{path}: line {line_number}: expected 2 or 3 tab-separated "
-                    f"columns, got {len(columns)}"
-                )
-            upos_filter = None
-            if len(columns) == 3 and columns[2].strip():
-                upos_filter = frozenset(
-                    tag.strip() for tag in columns[2].split(",") if tag.strip()
-                )
-            targets.append(TargetSpec(columns[0].strip(), columns[1].strip(), upos_filter))
-    if not targets:
-        raise ConfigError(f"{path}: no targets found")
-    return targets
+    def parse(columns: list[str]) -> TargetSpec:
+        upos_filter = None
+        if len(columns) == 3 and columns[2].strip():
+            upos_filter = frozenset(
+                tag.strip() for tag in columns[2].split(",") if tag.strip()
+            )
+        return TargetSpec(columns[0].strip(), columns[1].strip(), upos_filter)
+
+    return list(read_tsv(path, parse, "word_id<TAB>lemma[<TAB>upos1,upos2]",
+                         ConfigError, 2, 3).values())

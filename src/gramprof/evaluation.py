@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DataError
+from .tsv import read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -101,29 +102,12 @@ def macro_f1(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
 def load_gold(path) -> dict[str, GoldRecord]:
     """Read a gold file: ``word_id<TAB>binary<TAB>graded`` per line,
     ``-`` for an absent value. ``#`` comments and blank lines allowed."""
-    records: dict[str, GoldRecord] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3:
-                raise DataError(f"{path}: line {line_number}: expected 3 columns, "
-                                f"got {len(columns)}")
-            word_id, binary_text, graded_text = columns
-            try:
-                binary = None if binary_text == "-" else int(binary_text)
-                graded = None if graded_text == "-" else float(graded_text)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_number}: {exc}")
-            if word_id in records:
-                raise DataError(f"{path}: line {line_number}: duplicate word "
-                                f"{word_id!r}")
-            records[word_id] = GoldRecord(word_id, binary, graded)
-    if not records:
-        raise DataError(f"{path}: no gold records found")
-    return records
+    def parse(columns: list[str]) -> GoldRecord:
+        word_id, binary, graded = columns
+        return GoldRecord(word_id, None if binary == "-" else int(binary),
+                          None if graded == "-" else float(graded))
+
+    return read_tsv(path, parse, "word_id<TAB>binary<TAB>graded", DataError, 3, 3)
 
 
 def binary_gold(records: Mapping[str, GoldRecord]) -> dict[str, int]:

@@ -92,15 +92,12 @@ def separate_categories(profile: Profile) -> CategoryProfile:
 
 
 def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]
-                  ) -> tuple[list[int], list[int], list[str]]:
-    """Align two count tables on the sorted union of their keys.
-
-    Returns (vector_a, vector_b, feature_names); absent keys become 0.
-    """
+                  ) -> tuple[list[int], list[int]]:
+    """Align two count tables on the sorted union of their keys; absent
+    keys become 0."""
     feature_names = sorted(set(counts_a) | set(counts_b))
-    vector_a = [counts_a.get(name, 0) for name in feature_names]
-    vector_b = [counts_b.get(name, 0) for name in feature_names]
-    return vector_a, vector_b, feature_names
+    return ([counts_a.get(name, 0) for name in feature_names],
+            [counts_b.get(name, 0) for name in feature_names])
 
 
 def merge_profiles(a: Profile, b: Profile) -> Profile:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DataError
 from .profiles import CategoryProfile, Profile, build_vectors, separate_categories
 
@@ -88,17 +86,16 @@ def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
     """
     if len(v_a) != len(v_b):
         raise ValueError(f"vector length mismatch: {len(v_a)} vs {len(v_b)}")
-    a = np.asarray(v_a, dtype=np.float64)
-    b = np.asarray(v_b, dtype=np.float64)
-    if np.array_equal(a, b):
+    if list(v_a) == list(v_b):
         return 0.0  # exact, not subject to sqrt round-off
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 and norm_b == 0.0:
+    squared_a = sum(x * x for x in v_a)
+    squared_b = sum(x * x for x in v_b)
+    if squared_a == 0 and squared_b == 0:
         return 0.0
-    if norm_a == 0.0 or norm_b == 0.0:
+    if squared_a == 0 or squared_b == 0:
         return zero_profile_distance
-    similarity = float(np.dot(a, b)) / (float(norm_a) * float(norm_b))
+    dot = sum(x * y for x, y in zip(v_a, v_b))
+    similarity = float(dot) / (math.sqrt(squared_a) * math.sqrt(squared_b))
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
@@ -152,7 +149,7 @@ def score_basic(profile_a: Profile, profile_b: Profile, kind: str,
         counts_a, counts_b, profile_a.total, profile_b.total,
         config.filter_threshold, per_period=config.per_period_filter,
     )
-    vector_a, vector_b, _ = build_vectors(counts_a, counts_b)
+    vector_a, vector_b = build_vectors(counts_a, counts_b)
     return cosine_distance(vector_a, vector_b, config.zero_profile_distance)
 
 
@@ -176,7 +173,7 @@ def score_separated(cat_a: CategoryProfile, cat_b: CategoryProfile,
             values_a, values_b, cat_a.total, cat_b.total,
             config.filter_threshold, per_period=config.per_period_filter,
         )
-        vector_a, vector_b, _ = build_vectors(values_a, values_b)
+        vector_a, vector_b = build_vectors(values_a, values_b)
         per_category[name] = cosine_distance(vector_a, vector_b,
                                              config.zero_profile_distance)
     if not per_category:
@@ -224,26 +221,22 @@ def score_word_pair(profile_a: Profile, profile_b: Profile,
     if kind in ("syntax", "average", "combination"):
         d_synt = score_basic(profile_a, profile_b, "syntax", config)
 
-    morph_aggregate: Optional[float] = None
     if kind in ("morphology", "average", "combination"):
         if config.separation:
-            per_category, morph_aggregate = score_separated(
+            per_category, d_morph = score_separated(
                 separate_categories(profile_a), separate_categories(profile_b), config
             )
-            d_morph = morph_aggregate
         else:
-            d_morph = morph_aggregate = score_basic(profile_a, profile_b,
-                                                    "morphology", config)
+            d_morph = score_basic(profile_a, profile_b, "morphology", config)
 
     if kind == "morphology":
         # A word with no morphological category at all gives no signal;
         # rank it by the zero-profile policy.
-        aggregate = morph_aggregate if morph_aggregate is not None \
-            else config.zero_profile_distance
+        aggregate = d_morph if d_morph is not None else config.zero_profile_distance
     elif kind == "syntax":
         aggregate = d_synt
     elif kind == "average":
-        aggregate = combine_average(morph_aggregate, d_synt)
+        aggregate = combine_average(d_morph, d_synt)
     else:
         aggregate = combine_append_max(per_category, d_synt)
 

@@ -333,3 +333,51 @@ def test_seed_flag_accepted(dataset, capsys):
     scores = dataset / "scores.tsv"
     scores.write_text("a\t0.1\nb\t0.9\n", encoding="utf-8")
     assert run(["--seed", "7", "rank", scores]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{labels}", "{d}/nogold.tsv", "--task", "binary"],
+    ["analyze", "{store}", "{d}/nogold.tsv", "--report", "logreg"],
+    ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/nodir/store.jsonl"],
+    ["score", "{store}", "-o", "{d}/nodir/scores.tsv"],
+    ["classify", "{scores}", "--ratio", "0.43", "-o", "{d}/nodir/labels.tsv"],
+    ["timeline", "{store}", "lass", "Number", "-o", "{d}/nodir/lass.csv"],
+    ["combine-labels", "{labels}", "{labels}", "-o", "{d}/nodir/labels.tsv"],
+], ids=lambda argv: argv[0])
+def test_missing_input_or_output_directory_exits_2(dataset, capsys, argv):
+    paths = {"d": dataset, "store": extract(dataset),
+             "scores": dataset / "scores.tsv", "labels": dataset / "labels.tsv"}
+    paths["scores"].write_text("lass\t0.9\nstab_nn\t0.5\nwalk\t0.1\n", encoding="utf-8")
+    paths["labels"].write_text("lass\t1\nstab_nn\t0\nwalk\t0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("nogold" in err or "nodir" in err)
+
+
+@pytest.mark.parametrize("command", [["score"],
+                                     ["analyze", "{gold}", "--report", "logreg"]],
+                         ids=lambda command: command[0])
+def test_store_missing_a_record_exits_1(dataset, capsys, command):
+    store = extract(dataset)
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    store.write_text("".join(line for line in lines if '"walk"' not in line
+                             or '"new"' not in line), encoding="utf-8")
+    capsys.readouterr()
+    argv = [command[0], store] + [a.format(gold=dataset / "gold.tsv") for a in command[1:]]
+    assert run(argv) == 1
+    assert "missing profile for word 'walk'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["classify", "--changepoint"], ["rank"],
+                                     ["evaluate", "{gold}", "--task", "graded"]],
+                         ids=lambda command: command[0])
+def test_non_finite_score_is_rejected(dataset, capsys, command, value):
+    scores = dataset / "scores.tsv"
+    scores.write_text(f"lass\t0.9\nstab_nn\t{value}\nwalk\t0.1\n", encoding="utf-8")
+    argv = [command[0], scores] + [a.format(gold=dataset / "gold.tsv")
+                                   for a in command[1:]]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "not finite" in err

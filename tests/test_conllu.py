@@ -5,8 +5,8 @@ import random
 import pytest
 
 from gramprof.conllu import (TargetIndex, TargetSpec, Token, load_targets,
-                             match_targets, open_corpus, parse_conllu, parse_feats,
-                             sentence_to_lines, strip_deprel_subtype)
+                             open_corpus, parse_conllu, parse_feats,
+                             strip_deprel_subtype)
 from gramprof.errors import ConfigError, ConlluParseError
 
 SAMPLE = """\
@@ -32,12 +32,16 @@ def parse_text(text, **kwargs):
     return list(parse_conllu(io.StringIO(text), **kwargs))
 
 
+def match(sentence, targets, **kwargs):
+    return list(TargetIndex(targets, **kwargs).match(sentence))
+
+
 def test_parse_two_sentences():
     sentences = parse_text(SAMPLE)
     assert len(sentences) == 2
     assert len(sentences[0]) == 2
     first = sentences[0][0]
-    assert first == Token("Lasses", "lass", "NOUN", "Number=Plur", "nsubj", 2)
+    assert first == Token("Lasses", "lass", "NOUN", "Number=Plur", "nsubj")
     assert sentences[0][1].feats == "Mood=Ind|Tense=Past|VerbForm=Fin"
 
 
@@ -77,10 +81,10 @@ def test_malformed_line_skipped_by_default():
     assert len(sentences) == 2
 
 
-def test_non_integer_head_becomes_root():
+def test_non_integer_head_still_yields_token():
     line = "1\tword\tword\tNOUN\t_\t_\t_\tdep\t_\t_\n"
     [sentence] = parse_text(line)
-    assert sentence[0].head == 0
+    assert sentence == [Token("word", "word", "NOUN", "_", "dep")]
 
 
 def test_round_trip():
@@ -94,11 +98,14 @@ def test_round_trip():
                 upos=rng.choice(["NOUN", "VERB", "ADJ"]),
                 feats=rng.choice(feats_pool),
                 deprel=rng.choice(["nsubj", "obj", "obl:tmod", "root"]),
-                head=rng.randrange(0, 4),
             )
             for i in range(rng.randrange(1, 6))
         ]
-        text = "\n".join(sentence_to_lines(sentence)) + "\n"
+        text = "".join(
+            f"{i}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t{t.feats}\t{rng.randrange(0, 4)}"
+            f"\t{t.deprel}\t_\t_\n"
+            for i, t in enumerate(sentence, start=1)
+        )
         assert parse_text(text) == [sentence]
 
 
@@ -114,34 +121,30 @@ def test_matching_order_independent():
 
 
 def test_upos_filter_excludes():
-    sentence = [Token("stabbed", "stab", "VERB", "Tense=Past", "root", 0)]
-    matches = match_targets(sentence, [TargetSpec("stab_nn", "stab",
-                                                  frozenset({"NOUN"}))])
+    sentence = [Token("stabbed", "stab", "VERB", "Tense=Past", "root")]
+    matches = match(sentence, [TargetSpec("stab_nn", "stab", frozenset({"NOUN"}))])
     assert matches == []
 
 
 def test_case_folding():
-    sentence = [Token("Lass", "Lass", "NOUN", "_", "root", 0)]
-    assert match_targets(sentence, [TargetSpec("lass", "lass")]) == []
-    matches = match_targets(sentence, [TargetSpec("lass", "lass")], case_fold=True)
+    sentence = [Token("Lass", "Lass", "NOUN", "_", "root")]
+    assert match(sentence, [TargetSpec("lass", "lass")]) == []
+    matches = match(sentence, [TargetSpec("lass", "lass")], case_fold=True)
     assert [word_id for word_id, _ in matches] == ["lass"]
 
 
 def test_match_on_form():
-    sentence = [Token("went", "go", "VERB", "_", "root", 0)]
-    matches = match_targets(sentence, [TargetSpec("went", "went")],
-                            match_field="form")
+    sentence = [Token("went", "go", "VERB", "_", "root")]
+    matches = match(sentence, [TargetSpec("went", "went")], match_field="form")
     assert [word_id for word_id, _ in matches] == ["went"]
-    assert match_targets(sentence, [TargetSpec("go", "go")],
-                         match_field="form") == []
+    assert match(sentence, [TargetSpec("go", "go")], match_field="form") == []
 
 
 def test_filtered_target_takes_precedence():
-    sentence = [Token("stab", "stab", "NOUN", "_", "root", 0)]
+    sentence = [Token("stab", "stab", "NOUN", "_", "root")]
     targets = [TargetSpec("stab_any", "stab"),
                TargetSpec("stab_nn", "stab", frozenset({"NOUN"}))]
-    matches = match_targets(sentence, targets)
-    assert matches == [("stab_nn", sentence[0])]
+    assert match(sentence, targets) == [("stab_nn", sentence[0])]
 
 
 def test_duplicate_rule_rejected():

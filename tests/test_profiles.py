@@ -144,19 +144,18 @@ def test_count_preservation_random():
 
 
 def test_build_vectors_union_and_zero_fill():
-    vec_a, vec_b, names = build_vectors({"Sing": 338, "Plur": 114}, {"Sing": 100})
-    assert names == ["Plur", "Sing"]
+    vec_a, vec_b = build_vectors({"Sing": 338, "Plur": 114}, {"Sing": 100})
     assert vec_a == [114, 338]
     assert vec_b == [0, 100]
 
 
 def test_build_vectors_empty():
-    assert build_vectors({}, {}) == ([], [], [])
+    assert build_vectors({}, {}) == ([], [])
 
 
 def test_build_vectors_identical():
     counts = {"a": 1, "b": 2}
-    vec_a, vec_b, _ = build_vectors(counts, counts)
+    vec_a, vec_b = build_vectors(counts, counts)
     assert vec_a == vec_b
 
 

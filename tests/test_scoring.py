@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gramprof.errors import ConfigError, DataError
@@ -62,6 +63,24 @@ def test_cosine_matches_oracle_random():
         v_b = [rng.randrange(0, 500) for _ in range(n)]
         assert abs(cosine_distance(v_a, v_b)
                    - cosine_distance_oracle(v_a, v_b)) < 1e-12
+
+
+def test_cosine_bit_identical_to_float64_formula():
+    # score files print 6 decimals, but the analysis reports print full
+    # floats: the count-vector cosine must equal the float64 reference
+    # 1 - dot / (norm_a * norm_b) bit for bit
+    rng = random.Random(44)
+    for _ in range(2000):
+        n = rng.randrange(1, 12)
+        v_a = [rng.randrange(0, 5000) for _ in range(n)]
+        v_b = [rng.randrange(1, 5000) for _ in range(n)]
+        if not any(v_a) or v_a == v_b:
+            continue
+        a = np.asarray(v_a, dtype=np.float64)
+        b = np.asarray(v_b, dtype=np.float64)
+        similarity = float(np.dot(a, b)) / (float(np.linalg.norm(a))
+                                            * float(np.linalg.norm(b)))
+        assert cosine_distance(v_a, v_b) == min(1.0, max(0.0, 1.0 - similarity))
 
 
 def test_cosine_symmetry_and_bounds():
@@ -204,7 +223,7 @@ def test_score_separated_flipped_number():
     per_category, aggregate = score_separated(cat_a, cat_b, default_config())
     assert abs(per_category["Number"] - FLIPPED_NUMBER_DISTANCE) < 1e-12
     assert abs(aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
-    v_a, v_b, _ = build_vectors(cat_a.categories["Number"], cat_b.categories["Number"])
+    v_a, v_b = build_vectors(cat_a.categories["Number"], cat_b.categories["Number"])
     assert abs(cosine_distance_oracle(v_a, v_b) - FLIPPED_NUMBER_DISTANCE) < 1e-15
 
 
