@@ -16,7 +16,7 @@ from .decision import (average_binary, classify_changepoint, classify_topn,
 from .errors import ConfigError, ConlluParseError, DataError, GramprofError
 from .evaluation import GoldRecord, accuracy, load_gold, macro_f1, spearman
 from .profiles import (CategoryProfile, Profile, ProfileStore, build_vectors,
-                       extract_profiles, merge_profiles, separate_categories)
+                       extract_profiles, separate_categories)
 from .scoring import (ChangeScore, MethodConfig, combine_append_max, combine_average,
                       cosine_distance, filter_rare, score_basic, score_period_pair,
                       score_separated, score_word_pair)
@@ -34,7 +34,7 @@ __all__ = [
     "category_correlations", "classify_changepoint", "classify_topn",
     "combine_append_max", "combine_average", "cosine_distance",
     "extract_profiles", "filter_rare", "load_gold", "load_targets", "macro_f1",
-    "merge_profiles", "parse_conllu", "parse_feats",
+    "parse_conllu", "parse_feats",
     "rank_words", "round_half_up", "score_basic", "score_period_pair",
     "score_separated", "score_word_pair", "separate_categories", "spearman",
     "standardize", "strip_deprel_subtype", "timeline", "train_logreg",

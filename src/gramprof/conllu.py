@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ConfigError, ConlluParseError
@@ -28,6 +29,13 @@ class Token(NamedTuple):
     upos: str
     feats: str        # raw FEATS column, "_" when empty
     deprel: str
+
+
+# FORM, LEMMA, UPOS, FEATS and DEPREL out of the 10 CONLL-U columns, in
+# Token's field order; building the tuple directly skips NamedTuple's
+# keyword handling on the per-token path.
+_token_columns = itemgetter(1, 2, 3, 5, 7)
+_new_token = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,14 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
         stream = stream.splitlines()
     sentence: list[Token] = []
     for line_number, line in enumerate(stream, start=1):
+        columns = line.split("\t")
+        # A line ending only touches MISC, the tenth column, which is not
+        # kept; so a token line needs no rstrip.
+        if len(columns) == N_COLUMNS and line[0] != "#":
+            token_id = columns[0]
+            if "-" not in token_id and "." not in token_id:  # not a range or empty node
+                sentence.append(_new_token(Token, _token_columns(columns)))
+            continue
         line = line.rstrip("\n").rstrip("\r")
         if not line:
             if sentence:
@@ -94,27 +110,12 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
             continue
         if line.startswith("#"):
             continue
-        columns = line.split("\t")
-        if len(columns) != N_COLUMNS:
-            err = ConlluParseError(
-                line_number, f"expected {N_COLUMNS} columns, got {len(columns)}"
-            )
-            if errors == "strict":
-                raise err
-            logger.warning("skipping malformed CONLL-U %s", err)
-            continue
-        token_id = columns[0]
-        if "-" in token_id or "." in token_id:
-            continue  # multiword range or empty node
-        sentence.append(
-            Token(
-                form=columns[1],
-                lemma=columns[2],
-                upos=columns[3],
-                feats=columns[5],
-                deprel=columns[7],
-            )
+        err = ConlluParseError(
+            line_number, f"expected {N_COLUMNS} columns, got {len(columns)}"
         )
+        if errors == "strict":
+            raise err
+        logger.warning("skipping malformed CONLL-U %s", err)
     if sentence:
         yield sentence
 
@@ -146,6 +147,7 @@ class TargetIndex:
             raise ConfigError(f"unknown match field {match_field!r}")
         self.case_fold = case_fold
         self.match_field = match_field
+        self._field = Token._fields.index(match_field)
         seen_ids: set[str] = set()
         seen_rules: set[tuple[str, Optional[frozenset[str]]]] = set()
         self._by_lemma: dict[str, list[TargetSpec]] = {}
@@ -166,17 +168,20 @@ class TargetIndex:
             candidates.sort(key=lambda s: (s.upos_filter is None, s.word_id))
 
     def match(self, sentence: Iterable[Token]) -> Iterator[tuple[str, Token]]:
+        lookup = self._by_lemma.get
+        field = self._field
+        case_fold = self.case_fold
         for token in sentence:
-            value = token.lemma if self.match_field == "lemma" else token.form
-            if self.case_fold:
+            value = token[field]
+            if case_fold:
                 value = value.casefold()
-            candidates = self._by_lemma.get(value)
-            if not candidates:
-                continue
-            for spec in candidates:
-                if spec.upos_filter is None or token.upos in spec.upos_filter:
-                    yield spec.word_id, token
-                    break
+            candidates = lookup(value)
+            if candidates:
+                upos = token[2]  # Token.upos
+                for spec in candidates:
+                    if spec.upos_filter is None or upos in spec.upos_filter:
+                        yield spec.word_id, token
+                        break
 
 
 def load_targets(path) -> list[TargetSpec]:

@@ -9,7 +9,8 @@ within-segment squared deviation from the segment means.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Mapping
 
 from .errors import DataError
 
@@ -38,37 +39,30 @@ def classify_topn(ranking: Ranking, ratio: float) -> dict[str, int]:
     return {word_id: (1 if i < n else 0) for i, (word_id, _) in enumerate(ranking)}
 
 
-def _segment_cost(scores: Sequence[float]) -> float:
-    mean = math.fsum(scores) / len(scores)
-    return math.fsum((s - mean) ** 2 for s in scores)
-
-
-def split_costs(scores: Sequence[float]) -> list[float]:
-    """L2 cost of every single split k in 1..N-1: the sum of squared
-    deviations from the mean within scores[:k] and scores[k:]."""
-    return [_segment_cost(scores[:k]) + _segment_cost(scores[k:])
-            for k in range(1, len(scores))]
-
-
 def classify_changepoint(ranking: Ranking) -> dict[str, int]:
     """Label words above the detected change point as changed.
 
     The descending score sequence is treated as a 1-D signal; the
-    breakpoint is the cost-minimising single split (exhaustive search,
-    which for one breakpoint is the full dynamic program). Ties go to
-    the lowest split index, so the labelling is deterministic.
+    breakpoint is the single split k in 1..N-1 minimising the summed
+    squared deviation from the segment means. With prefix sums S_k and
+    S = S_N, that cost is sum(x^2) - S_k^2/k - (S - S_k)^2/(N - k), so
+    one pass maximising the last two terms finds it. The sums are exact
+    (every float is a fraction with a power-of-two denominator), so
+    ties are real ties and go to the lowest split index.
     """
     if len(ranking) < 3:
         raise DataError("change-point classification needs at least 3 words; "
                         "use top-n classification instead")
-    scores = [score for _, score in ranking]
-    costs = split_costs(scores)
-    best_k = 1
-    best_cost = costs[0]
-    for k, cost in enumerate(costs[1:], start=2):
-        if cost < best_cost:
-            best_cost = cost
-            best_k = k
+    scores = [Fraction(score) for _, score in ranking]
+    n = len(scores)
+    total = sum(scores)
+    best_k, best_gain, prefix = 0, None, Fraction(0)
+    for k in range(1, n):
+        prefix += scores[k - 1]
+        rest = total - prefix
+        gain = prefix * prefix / k + rest * rest / (n - k)
+        if best_gain is None or gain > best_gain:
+            best_k, best_gain = k, gain
     return {word_id: (1 if i < best_k else 0)
             for i, (word_id, _) in enumerate(ranking)}
 

@@ -13,7 +13,6 @@ different method settings.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, TextIO
 
@@ -100,17 +99,6 @@ def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]
             [counts_b.get(name, 0) for name in feature_names])
 
 
-def merge_profiles(a: Profile, b: Profile) -> Profile:
-    """Sum two profiles for the same word and period (shard merge)."""
-    if (a.word_id, a.period) != (b.word_id, b.period):
-        raise ValueError("can only merge profiles of the same word and period")
-    morph = Counter(a.morph)
-    morph.update(b.morph)
-    synt = Counter(a.synt)
-    synt.update(b.synt)
-    return Profile(a.word_id, a.period, dict(morph), dict(synt), a.total + b.total)
-
-
 def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSpec],
                      case_fold: bool = False, match_field: str = "lemma",
                      strip_subtypes: bool = False, errors: str = "skip",
@@ -128,16 +116,15 @@ def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSp
         raise ConfigError("need at least two corpus periods")
     index = TargetIndex(targets, case_fold=case_fold, match_field=match_field)
     profiles: dict[tuple[str, str], Profile] = {}
-    for period in corpora:
-        for spec in targets:
-            profiles[(spec.word_id, period)] = Profile(spec.word_id, period)
     for period, sources in corpora.items():
+        by_word = {spec.word_id: Profile(spec.word_id, period) for spec in targets}
         for source in sources:
             for sentence in _iter_source(source, period, errors):
                 for word_id, token in index.match(sentence):
                     deprel = strip_deprel_subtype(token.deprel) if strip_subtypes \
                         else token.deprel
-                    profiles[(word_id, period)].add_token(token.feats, deprel)
+                    by_word[word_id].add_token(token.feats, deprel)
+        profiles.update(((word_id, period), p) for word_id, p in by_word.items())
     return profiles
 
 

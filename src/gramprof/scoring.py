@@ -9,8 +9,10 @@ invariant, so no normalisation is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
@@ -99,6 +101,13 @@ def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
+@functools.lru_cache(maxsize=64)
+def _decimal_ratio(threshold: float) -> tuple[int, int]:
+    """The threshold as the decimal it was written as: 0.07 gives
+    (7, 100), not the binary float just above 7/100."""
+    return Fraction(str(threshold)).as_integer_ratio()
+
+
 def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
                 total_a: int, total_b: int, threshold: float,
                 per_period: bool = False) -> tuple[dict[str, int], dict[str, int]]:
@@ -110,25 +119,28 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
     (strictly below; a key exactly at the threshold survives). With
     ``per_period`` the comparison is made against each period's own
     total and removal is decided per table. Zero totals leave the
-    inputs unchanged.
+    inputs unchanged. The comparison is exact, in integers, with the
+    threshold read as its decimal.
     """
     if not 0.0 <= threshold < 1.0:
         raise ConfigError("filter threshold must be in [0, 1)")
     if total_a + total_b == 0:
         return dict(counts_a), dict(counts_b)
+    num, den = _decimal_ratio(threshold)
     keys = set(counts_a) | set(counts_b)
     if per_period:
+        cutoff_a, cutoff_b = num * total_a, num * total_b
         filtered_a, filtered_b = {}, {}
         for key in keys:
-            joint = counts_a.get(key, 0) + counts_b.get(key, 0)
-            if key in counts_a and not joint < threshold * total_a:
+            joint = (counts_a.get(key, 0) + counts_b.get(key, 0)) * den
+            if key in counts_a and not joint < cutoff_a:
                 filtered_a[key] = counts_a[key]
-            if key in counts_b and not joint < threshold * total_b:
+            if key in counts_b and not joint < cutoff_b:
                 filtered_b[key] = counts_b[key]
         return filtered_a, filtered_b
-    cutoff = threshold * (total_a + total_b)
+    cutoff = num * (total_a + total_b)
     kept = {key for key in keys
-            if not counts_a.get(key, 0) + counts_b.get(key, 0) < cutoff}
+            if not (counts_a.get(key, 0) + counts_b.get(key, 0)) * den < cutoff}
     return ({k: v for k, v in counts_a.items() if k in kept},
             {k: v for k, v in counts_b.items() if k in kept})
 

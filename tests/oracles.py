@@ -86,6 +86,41 @@ def best_split_oracle(scores):
     return best_k
 
 
+def filter_keeps_oracle(joint, total, threshold):
+    """Whether a joint count survives the rare-feature filter: it is not
+    strictly below the threshold (read as the decimal it is written as)
+    times the total, in exact rationals."""
+    return not Fraction(joint) < Fraction(str(threshold)) * total
+
+
+def conllu_oracle(lines):
+    """Line-by-line CONLL-U reader: strip the line ending, end the
+    sentence on a blank line, skip ``#`` comments, split into columns,
+    record lines without exactly 10 columns as malformed, skip ids with
+    ``-`` or ``.``. Returns (sentences of (form, lemma, upos, feats,
+    deprel) tuples, 1-based numbers of the malformed lines)."""
+    sentences, sentence, malformed = [], [], []
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            if sentence:
+                sentences.append(sentence)
+                sentence = []
+            continue
+        if line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != 10:
+            malformed.append(number)
+            continue
+        if "-" in columns[0] or "." in columns[0]:
+            continue
+        sentence.append(tuple(columns[i] for i in (1, 2, 3, 5, 7)))
+    if sentence:
+        sentences.append(sentence)
+    return sentences, malformed
+
+
 def student_t_two_tailed_oracle(t, df):
     """Two-tailed tail probability of Student's t via the regularized
     incomplete beta function."""

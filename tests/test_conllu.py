@@ -9,6 +9,8 @@ from gramprof.conllu import (TargetIndex, TargetSpec, Token, load_targets,
                              strip_deprel_subtype)
 from gramprof.errors import ConfigError, ConlluParseError
 
+from oracles import conllu_oracle
+
 SAMPLE = """\
 # sent_id = 1
 # text = Lasses sang
@@ -79,6 +81,58 @@ def test_malformed_line_skipped_by_default():
     text = SAMPLE + "\nbroken line without tabs\n"
     sentences = parse_text(text)
     assert len(sentences) == 2
+
+
+def random_conllu_lines(rng, n):
+    """Lines of every shape the reader distinguishes: token lines with
+    plain, range (3-4), empty-node (5.1) and empty ids; lines with 1, 9
+    and 11 columns; comments with and without 9 tabs; blank and
+    whitespace-only lines; ``\\n``, ``\\r\\n`` and missing line endings."""
+    def cell():
+        return rng.choice(["a", "Lass", "_", "x-y", "1.5", "#", " ", "\r", "Number=Sing"])
+
+    lines = []
+    for _ in range(n):
+        kind = rng.randrange(8)
+        if kind < 3:
+            token_id = rng.choice(["1", "2", "3-4", "5.1", "", "#1", "10"])
+            line = "\t".join([token_id] + [cell() for _ in range(9)])
+        elif kind == 3:
+            line = "\t".join(cell() for _ in range(rng.choice([1, 9, 11])))
+        elif kind == 4:
+            line = "# " + ("\t" * 9 if rng.random() < 0.5 else "text = x")
+        elif kind == 5:
+            line = rng.choice(["", " ", "\r"])
+        else:
+            line = "\t".join(["7"] + [cell() for _ in range(8)] + ["\r"])
+        lines.append(line + rng.choice(["\n", "\n", "\r\n", ""]))
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parser_matches_line_oracle(seed, caplog):
+    rng = random.Random(seed)
+    for _ in range(300):
+        lines = random_conllu_lines(rng, rng.randrange(0, 30))
+        expected, malformed = conllu_oracle(lines)
+
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gramprof.conllu"):
+            assert list(parse_conllu(lines)) == expected
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == len(malformed)
+        assert all(msg.startswith(f"skipping malformed CONLL-U line {n}:")
+                   for msg, n in zip(warned, malformed))
+
+        if malformed:
+            with pytest.raises(ConlluParseError) as err:
+                list(parse_conllu(lines, errors="strict"))
+            assert err.value.line_number == malformed[0]
+        else:
+            assert list(parse_conllu(lines, errors="strict")) == expected
+
+        text = "".join(lines)
+        assert list(parse_conllu(text)) == conllu_oracle(text.splitlines())[0]
 
 
 def test_non_integer_head_still_yields_token():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gramprof.decision import (average_binary, classify_changepoint, classify_topn,
-                               rank_words, round_half_up, split_costs)
+                               rank_words, round_half_up)
 from gramprof.errors import DataError
 
 from oracles import best_split_oracle
@@ -124,11 +124,25 @@ def test_changepoint_matches_exhaustive_oracle():
         assert sum(labels.values()) == best_split_oracle(scores)
 
 
-def test_split_costs_values():
-    # hand computation for [1, 1, 0, 0]: split in the middle costs 0
-    costs = split_costs([1.0, 1.0, 0.0, 0.0])
-    assert costs[1] == 0.0
-    assert costs[0] > 0 and costs[2] > 0
+def test_changepoint_splits_where_both_segments_are_flat():
+    # [1, 1, 0, 0]: the middle split costs 0, every other split more
+    ranking = [(f"w{i}", s) for i, s in enumerate([1.0, 1.0, 0.0, 0.0])]
+    assert [label for _, label in sorted(classify_changepoint(ranking).items())] \
+        == [1, 1, 0, 0]
+
+
+def test_changepoint_matches_exhaustive_oracle_on_tied_scores():
+    """Scores with one or two decimals repeat and their segment costs
+    tie or nearly tie, which a float cost comparison can misorder
+    (e.g. [0.8, 0.5, 0.4, 0.2, 0.1]); the exact search must pick the
+    oracle's lowest-index argmin at every length up to 200."""
+    rng = random.Random(13)
+    sizes = [3 + trial % 10 for trial in range(400)] + list(range(25, 201, 58))
+    for trial, n in enumerate(sizes):
+        digits = 1 + trial % 2
+        scores = sorted((round(rng.random(), digits) for _ in range(n)), reverse=True)
+        ranking = [(f"w{i:03d}", s) for i, s in enumerate(scores)]
+        assert sum(classify_changepoint(ranking).values()) == best_split_oracle(scores)
 
 
 def test_rank_and_topn_invariant_under_monotone_transform():

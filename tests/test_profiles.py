@@ -6,7 +6,7 @@ import pytest
 from gramprof.conllu import TargetSpec
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
-                               extract_profiles, merge_profiles, separate_categories)
+                               extract_profiles, separate_categories)
 
 # combined-FEATS counts of an English verb in one period; the per-category
 # splits below are the hand-checked reference
@@ -157,34 +157,6 @@ def test_build_vectors_identical():
     counts = {"a": 1, "b": 2}
     vec_a, vec_b = build_vectors(counts, counts)
     assert vec_a == vec_b
-
-
-def test_merge_is_shard_sum():
-    rng = random.Random(5)
-    entries = [(f"w{rng.randrange(3)}", rng.choice(["Number=Sing", "Number=Plur", "_"]),
-                rng.choice(["nsubj", "obj"])) for _ in range(300)]
-    targets = [TargetSpec(f"w{i}", f"w{i}") for i in range(3)]
-    split = len(entries) // 2
-
-    whole = extract_profiles(
-        {"a": [io.StringIO(corpus_text(entries))], "b": [io.StringIO("")]}, targets)
-    shard_1 = extract_profiles(
-        {"a": [io.StringIO(corpus_text(entries[:split]))], "b": [io.StringIO("")]},
-        targets)
-    shard_2 = extract_profiles(
-        {"a": [io.StringIO(corpus_text(entries[split:]))], "b": [io.StringIO("")]},
-        targets)
-
-    for key in whole:
-        merged = merge_profiles(shard_1[key], shard_2[key])
-        assert merged.morph == whole[key].morph
-        assert merged.synt == whole[key].synt
-        assert merged.total == whole[key].total
-
-
-def test_merge_rejects_different_words():
-    with pytest.raises(ValueError):
-        merge_profiles(Profile("a", "t"), Profile("b", "t"))
 
 
 def make_store():

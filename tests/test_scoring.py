@@ -9,7 +9,7 @@ from gramprof.scoring import (MethodConfig, combine_append_max, combine_average,
                               cosine_distance, filter_rare, score_basic,
                               score_separated, score_word_pair, score_period_pair)
 
-from oracles import cosine_distance_oracle
+from oracles import cosine_distance_oracle, filter_keeps_oracle
 
 from test_profiles import VERB_MORPH
 
@@ -120,6 +120,28 @@ def test_filter_below_threshold_removed():
 def test_filter_exactly_at_threshold_survives():
     a, b = filter_rare({"x": 3}, {"x": 2}, 60, 40, 0.05)
     assert a == {"x": 3} and b == {"x": 2}
+
+
+@pytest.mark.parametrize("total", [100, 200, 300, 400, 600, 700, 800, 900])
+def test_filter_exactly_at_decimal_threshold_survives(total):
+    # 0.07 * total is 7.000000000000001 etc. in floats, just above the count
+    at = 7 * total // 100
+    assert filter_rare({"x": at}, {}, total, 0, 0.07) == ({"x": at}, {})
+    assert filter_rare({"x": at}, {"y": 1}, total, 1, 0.07,
+                       per_period=True) == ({"x": at}, {"y": 1})
+    assert filter_rare({"x": at - 1}, {}, total, 0, 0.07) == ({}, {})
+
+
+def test_filter_matches_fraction_oracle_at_the_boundary():
+    for hundredths in range(1, 31):
+        threshold = hundredths / 100
+        for total in range(1, 1001):
+            for joint in {int(threshold * total), int(threshold * total) + 1}:
+                keep = filter_keeps_oracle(joint, total, threshold)
+                a, _ = filter_rare({"x": joint}, {}, total, 0, threshold)
+                assert ("x" in a) == keep, (threshold, total, joint)
+                a, _ = filter_rare({"x": joint}, {}, total, 5, threshold, per_period=True)
+                assert ("x" in a) == keep, (threshold, total, joint)
 
 
 def test_filter_zero_threshold_keeps_everything():

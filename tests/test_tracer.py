@@ -1,12 +1,15 @@
 """The benchmark's tracer (bench/spans.py) patches gramprof attributes
-by name. Entering it here makes a rename in src fail the test suite
-instead of only a traced benchmark run."""
+by name and counts tokens, sentences and malformed lines on the items
+``parse_conllu`` yields to ``extract_profiles``. Running it here makes a
+rename in src, or an extraction path that bypasses those calls, fail the
+test suite instead of only a traced benchmark run."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import gen  # noqa: E402
 import spans  # noqa: E402
 from gramprof import analysis, cli, scoring  # noqa: E402
 
@@ -18,3 +21,20 @@ def test_tracer_patches_and_restores_gramprof():
         assert scoring.cosine_distance is not originals[1]
     assert (cli.score_period_pair, scoring.cosine_distance,
             analysis.score_basic) == originals
+
+
+def test_traced_extract_counts_equal_generator_truth(tmp_path):
+    truth = gen.generate("extract-dense", 5, tmp_path / "in", 3000)
+    rec = spans.Recorder(0)
+    with spans.traced(rec):
+        assert cli.main(["extract", "-c", str(tmp_path / "in" / "dataset.yml"),
+                         "-o", str(tmp_path / "store.jsonl"),
+                         "--case-fold", "--strip-deprel-subtype"]) == 0
+    tokens = sum(truth["tokens"].values())
+    assert rec.counts["conllu.tokens"] == tokens
+    assert rec.counts["conllu.sentences"] == sum(truth["sentences"].values())
+    assert rec.counts["conllu.malformed_lines"] == sum(truth["malformed"].values()) > 0
+    assert rec.counts["match.scanned"] == tokens
+    assert rec.counts["match.matched"] == sum(
+        record["total"] for periods in truth["profiles"].values()
+        for record in periods.values())
