@@ -10,6 +10,7 @@ tokens.
 from __future__ import annotations
 
 import gzip
+import io
 import logging
 from dataclasses import dataclass
 from operator import itemgetter
@@ -82,16 +83,17 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
     """Parse CONLL-U text into sentences (lists of Token).
 
     ``stream`` is any iterable of lines (an open file works; a plain
-    string is split into lines). Comment lines start with ``#``; a
-    blank line ends a sentence. Lines that do not have exactly 10
-    tab-separated columns are malformed: with ``errors="skip"`` they
-    are dropped with a warning, with ``errors="strict"`` a
-    ConlluParseError carrying the line number is raised.
+    string is split into lines at ``\\n`` only, as a file would be).
+    Comment lines start with ``#``; a blank line ends a sentence. Lines
+    that do not have exactly 10 tab-separated columns are malformed:
+    with ``errors="skip"`` they are dropped with a warning, with
+    ``errors="strict"`` a ConlluParseError carrying the line number is
+    raised.
     """
     if errors not in ("skip", "strict"):
         raise ValueError(f"unknown error policy {errors!r}")
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream)
     sentence: list[Token] = []
     for line_number, line in enumerate(stream, start=1):
         columns = line.split("\t")

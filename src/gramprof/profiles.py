@@ -40,7 +40,7 @@ class Profile:
 
     def validate(self) -> None:
         """Check the counting invariants; raises DataError on violation."""
-        if any(c < 1 for c in self.morph.values()) or any(c < 1 for c in self.synt.values()):
+        if min(self.morph.values(), default=1) < 1 or min(self.synt.values(), default=1) < 1:
             raise DataError(f"profile {self.word_id}/{self.period}: zero or negative count")
         if sum(self.synt.values()) != self.total:
             raise DataError(
@@ -69,6 +69,17 @@ class CategoryProfile:
     total: int = 0
 
 
+# FEATS string -> its (category, value) pairs, for strings that split
+# without dropping an entry. A store repeats few distinct FEATS strings
+# across its profiles (752 distinct in 144,054 entries on the benchmark's
+# store), so each is split once rather than once per profile. A malformed
+# string is never stored: every occurrence goes through parse_feats again
+# and logs its own warning. The memo lives as long as the process and is
+# emptied when it reaches _FEATS_MEMO_LIMIT entries, which bounds it.
+_feats_memo: dict[str, list[tuple[str, str]]] = {}
+_FEATS_MEMO_LIMIT = 1 << 16
+
+
 def separate_categories(profile: Profile) -> CategoryProfile:
     """Split combined FEATS counts into per-category value counts.
 
@@ -77,8 +88,16 @@ def separate_categories(profile: Profile) -> CategoryProfile:
     entries (no ``=``) are skipped with a warning.
     """
     categories: dict[str, dict[str, int]] = {}
+    memo = _feats_memo
     for feats, count in profile.morph.items():
-        for key, value in parse_feats(feats):
+        pairs = memo.get(feats)
+        if pairs is None:
+            pairs = parse_feats(feats)
+            if len(pairs) == feats.count("|") + 1:  # no entry dropped
+                if len(memo) >= _FEATS_MEMO_LIMIT:
+                    memo.clear()
+                memo[feats] = pairs
+        for key, value in pairs:
             values = categories.setdefault(key, {})
             values[value] = values.get(value, 0) + count
     return CategoryProfile(
@@ -193,29 +212,51 @@ class ProfileStore:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DataError(f"profile store header is not valid JSON: {exc}")
-        if header.get("format") != STORE_FORMAT:
-            raise DataError(f"not a profile store (format {header.get('format')!r})")
+        if type(header) is not dict or header.get("format") != STORE_FORMAT:
+            raise DataError(f"not a profile store (header {header_line.strip()[:80]!r})")
         if header.get("version") != STORE_VERSION:
             raise DataError(f"unsupported profile store version {header.get('version')!r}")
+        periods, options = header.get("periods", []), header.get("options", {})
+        if type(periods) is not list or not all(type(p) is str for p in periods):
+            raise DataError(f"profile store header: periods must be a list of strings, "
+                            f"got {periods!r}")
+        if type(options) is not dict:
+            raise DataError(f"profile store header: options must be an object, "
+                            f"got {options!r}")
+        known_periods = set(periods)
         profiles: dict[tuple[str, str], Profile] = {}
         for line_number, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                profile = Profile(
-                    word_id=record["word_id"],
-                    period=record["period"],
-                    morph={k: int(v) for k, v in record["morph"].items()},
-                    synt={k: int(v) for k, v in record["synt"].items()},
-                    total=int(record["total"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                word_id, period = record["word_id"], record["period"]
+                morph, synt, total = record["morph"], record["synt"], record["total"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"profile store line {line_number}: bad record: {exc}")
+            # The decoded dicts become the profile's count tables as they
+            # are, so their types are checked here: a JSON true, 2.7 or "1"
+            # is not a count.
+            if not (type(word_id) is str and type(period) is str
+                    and type(morph) is dict and type(synt) is dict
+                    and {type(total), *map(type, morph.values()),
+                         *map(type, synt.values())} == {int}):
+                raise DataError(
+                    f"profile store line {line_number}: bad record: word_id and period "
+                    f"must be strings, morph and synt objects of integer counts and "
+                    f"total an integer")
+            if period not in known_periods:
+                raise DataError(f"profile store line {line_number}: period {period!r} "
+                                f"is not one of the header's periods {periods}")
+            profile = Profile(word_id, period, morph, synt, total)
             profile.validate()
-            key = (profile.word_id, profile.period)
+            key = (word_id, period)
             if key in profiles:
                 raise DataError(f"profile store line {line_number}: duplicate record {key}")
             profiles[key] = profile
-        return cls(periods=list(header.get("periods", [])), profiles=profiles,
-                   options=dict(header.get("options", {})))
+        for word_id in sorted({word_id for word_id, _ in profiles}):
+            for period in periods:
+                if (word_id, period) not in profiles:
+                    raise DataError(f"profile store: missing profile for word {word_id!r} "
+                                    f"in period {period!r}")
+        return cls(periods=periods, profiles=profiles, options=options)

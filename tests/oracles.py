@@ -121,6 +121,26 @@ def conllu_oracle(lines):
     return sentences, malformed
 
 
+def separate_categories_oracle(morph):
+    """Per-category value counts of a combined-FEATS table: each
+    ``K=V`` entry of a FEATS string adds the string's count to cell
+    (K, V). ``_`` and the empty string hold no entry; an entry without
+    ``=`` or with an empty key is dropped. Returns (categories, number
+    of entries dropped)."""
+    categories, dropped = {}, 0
+    for feats, count in morph.items():
+        if feats in ("_", ""):
+            continue
+        for item in feats.split("|"):
+            if "=" not in item or item.startswith("="):
+                dropped += 1
+                continue
+            key, value = item.split("=", 1)
+            cell = categories.setdefault(key, {})
+            cell[value] = cell.get(value, 0) + count
+    return categories, dropped
+
+
 def student_t_two_tailed_oracle(t, df):
     """Two-tailed tail probability of Student's t via the regularized
     incomplete beta function."""

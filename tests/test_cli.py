@@ -356,7 +356,8 @@ def test_missing_input_or_output_directory_exits_2(dataset, capsys, argv):
 
 
 @pytest.mark.parametrize("command", [["score"],
-                                     ["analyze", "{gold}", "--report", "logreg"]],
+                                     ["analyze", "{gold}", "--report", "logreg"],
+                                     ["timeline", "lass", "Number"]],
                          ids=lambda command: command[0])
 def test_store_missing_a_record_exits_1(dataset, capsys, command):
     store = extract(dataset)
@@ -381,3 +382,56 @@ def test_non_finite_score_is_rejected(dataset, capsys, command, value):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "not finite" in err
+
+
+def rewrite_record(store, word_id, period, change):
+    """Pass the store record of (word_id, period) through ``change``
+    and write the store back; returns the record's line number."""
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    for number, line in enumerate(lines[1:], start=2):
+        record = json.loads(line)
+        if (record["word_id"], record["period"]) == (word_id, period):
+            lines[number - 1] = json.dumps(change(record)) + "\n"
+            store.write_text("".join(lines), encoding="utf-8")
+            return number
+    raise AssertionError(f"no record for {word_id}/{period}")
+
+
+def set_in(record, table, key, value):
+    if key is None:
+        record[table] = value
+    else:
+        record[table][key] = value
+    return record
+
+
+# lass/old holds morph {Number=Plur: 2, Number=Sing: 1}, synt {nsubj: 1,
+# root: 2} and total 3; int() of each bad value below keeps those sums
+@pytest.mark.parametrize("table, key, value", [
+    ("morph", "Number=Plur", 2.7),
+    ("morph", "Number=Sing", True),
+    ("morph", "Number=Sing", "1"),
+    ("morph", None, []),
+    ("total", None, 3.9),
+], ids=["float", "true", "string", "list", "total"])
+@pytest.mark.parametrize("command", [["score"], ["timeline", "lass", "Number"]],
+                         ids=lambda command: command[0])
+def test_store_count_that_is_not_an_integer_exits_1(dataset, capsys, command,
+                                                    table, key, value):
+    store = extract(dataset)
+    number = rewrite_record(store, "lass", "old",
+                            lambda record: set_in(record, table, key, value))
+    capsys.readouterr()
+    assert run([command[0], store, *command[1:]]) == 1
+    assert f"profile store line {number}: bad record" in capsys.readouterr().err
+
+
+def test_store_record_with_unknown_period_exits_1(dataset, capsys):
+    store = extract(dataset)
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    store.write_text("".join(lines) + lines[-1].replace('"period": "new"', '"period": "later"'),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert run(["score", store]) == 1
+    assert (f"profile store line {len(lines) + 1}: period 'later' is not one of "
+            f"the header's periods") in capsys.readouterr().err

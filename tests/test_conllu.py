@@ -131,8 +131,21 @@ def test_parser_matches_line_oracle(seed, caplog):
         else:
             assert list(parse_conllu(lines, errors="strict")) == expected
 
+        # A plain string is split at "\n" only, so a "\r" inside a cell
+        # stays in its line.
         text = "".join(lines)
-        assert list(parse_conllu(text)) == conllu_oracle(text.splitlines())[0]
+        assert list(parse_conllu(text)) == conllu_oracle(text.split("\n"))[0]
+
+
+def test_plain_string_splits_only_at_newline(caplog):
+    # str.splitlines() would also break at U+2028, \x85, \x1c-\x1e, \x0b,
+    # \x0c and a lone \r, and turn this token line into malformed lines.
+    for char in ("\u2028", "\u2029", "\x85", "\x1c", "\x0b", "\x0c", "\r"):
+        form = f"A{char}b"
+        with caplog.at_level("WARNING", logger="gramprof.conllu"):
+            sentences = list(parse_conllu(f"1\t{form}\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"))
+        assert sentences == [[Token(form, "a", "NOUN", "_", "root")]]
+    assert not caplog.records
 
 
 def test_non_integer_head_still_yields_token():

@@ -7,6 +7,7 @@ from gramprof.conllu import TargetSpec
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
                                extract_profiles, separate_categories)
+from oracles import separate_categories_oracle
 
 # combined-FEATS counts of an English verb in one period; the per-category
 # splits below are the hand-checked reference
@@ -120,6 +121,50 @@ def test_separate_categories_skips_malformed_key():
     assert separate_categories(profile).categories == {"Number": {"Sing": 2}}
 
 
+# FEATS strings shared across profiles: repeated keys, a value holding
+# "=", an empty value, "_", and malformed entries (no "=", empty key,
+# empty item)
+FEATS_POOL = ["Number=Sing", "Case=Nom|Number=Plur", "Case=Nom|Case=Acc",
+              "Case=Acc|Case=Acc", "Tense=Past|VerbForm=Part|Voice=Pass", "Foo=a=b",
+              "Polite=", "_", "Number=Sing|Oops", "=x|Case=Dat", "Gender=Fem||Case=Nom",
+              "Broken"]
+
+
+def test_separate_categories_matches_oracle_in_any_call_order(caplog):
+    rng = random.Random(23)
+    profiles = []
+    for i in range(60):
+        morph = {feats: rng.randrange(1, 40)
+                 for feats in rng.sample(FEATS_POOL, rng.randrange(0, 6))}
+        total = sum(morph.values()) + rng.randrange(0, 5)
+        profiles.append(Profile(f"w{i}", "t", morph, {"root": total}, total))
+    expected = [separate_categories_oracle(p.morph) for p in profiles]
+    for _ in range(4):
+        order = list(range(len(profiles)))
+        rng.shuffle(order)
+        for i in order:
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="gramprof.conllu"):
+                separated = separate_categories(profiles[i])
+            categories, dropped = expected[i]
+            assert separated.categories == categories
+            assert (separated.synt, separated.total) == (profiles[i].synt, profiles[i].total)
+            assert len(caplog.records) == dropped
+
+
+def test_shared_malformed_feats_warns_per_occurrence_on_every_call(caplog):
+    first = Profile("a", "t", {"Number=Sing|Oops": 2, "Case=Nom": 1}, {"root": 3}, 3)
+    second = Profile("b", "t", {"Number=Sing|Oops": 5}, {"root": 5}, 5)
+    for _ in range(3):
+        for profile in (first, second):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="gramprof.conllu"):
+                separated = separate_categories(profile)
+            assert [r.getMessage() for r in caplog.records] == [
+                "skipping malformed FEATS entry 'Oops' in 'Number=Sing|Oops'"]
+            assert separated.categories["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
+
+
 def test_count_preservation_random():
     rng = random.Random(11)
     categories = ["Number", "Case", "Tense", "Gender"]
@@ -199,6 +244,25 @@ def test_store_rejects_bad_counts():
     store.save(buffer)
     with pytest.raises(DataError):
         ProfileStore.load(io.StringIO(buffer.getvalue()))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + [lines[-1].replace('"period": "new"', '"period": "mid"')],
+     "line 6: period 'mid' is not one of the header's periods"),
+    (lambda lines: lines[:-1], "missing profile for word 'stab' in period 'new'"),
+    (lambda lines: [lines[0].replace('["old", "new"]', '["old", 2]')] + lines[1:],
+     "periods must be a list of strings"),
+    (lambda lines: ['["grammatical-profile-store"]\n'] + lines[1:], "not a profile store"),
+    (lambda lines: [lines[0].replace('{"dataset": "toy"}', '[1]')] + lines[1:],
+     "options must be an object"),
+], ids=["unknown-period", "grid-gap", "period-not-string", "header-not-object",
+        "options-not-object"])
+def test_store_rejects_bad_header_and_grid(edit, message):
+    buffer = io.StringIO()
+    make_store().save(buffer)
+    text = "".join(edit(buffer.getvalue().splitlines(keepends=True)))
+    with pytest.raises(DataError, match=message):
+        ProfileStore.load(io.StringIO(text))
 
 
 def test_profile_validate():

@@ -1,8 +1,10 @@
 """The benchmark's tracer (bench/spans.py) patches gramprof attributes
 by name and counts tokens, sentences and malformed lines on the items
-``parse_conllu`` yields to ``extract_profiles``. Running it here makes a
-rename in src, or an extraction path that bypasses those calls, fail the
-test suite instead of only a traced benchmark run."""
+``parse_conllu`` yields to ``extract_profiles``, and calls to the
+``separate_categories`` globals of ``scoring`` and ``analysis``. Running
+it here makes a rename in src, or an extraction or scoring path that
+bypasses those calls, fail the test suite instead of only a traced
+benchmark run."""
 
 import sys
 from pathlib import Path
@@ -38,3 +40,17 @@ def test_traced_extract_counts_equal_generator_truth(tmp_path):
     assert rec.counts["match.matched"] == sum(
         record["total"] for periods in truth["profiles"].values()
         for record in periods.values())
+
+
+def test_traced_separated_score_separates_each_profile_once(tmp_path):
+    truth = gen.generate("rescore-sweep", 5, tmp_path / "in", 40)
+    store = str(tmp_path / "store.jsonl")
+    assert cli.main(["extract", "-c", str(tmp_path / "in" / "dataset.yml"),
+                     "-o", store]) == 0
+    rec = spans.Recorder(0)
+    with spans.traced(rec):
+        assert cli.main(["score", store, "--features", "combination", "--separate",
+                         "-o", str(tmp_path / "scores.tsv")]) == 0
+    words = len(truth["profiles"])
+    assert words == 40
+    assert spans.pass_metrics(rec)["profiles.separate_categories.calls"] == 2 * words
