@@ -7,6 +7,9 @@ Spearman correlations against graded gold scores with a two-tailed
 significance test. Also provides the per-period value distribution of
 one category for one word (timeline), the raw material for usage
 plots.
+
+numpy and scipy are imported inside the functions that compute with
+them, so that importing this module (and the CLI) stays cheap.
 """
 
 from __future__ import annotations
@@ -15,18 +18,18 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.stats import rankdata, t as t_distribution
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .evaluation import accuracy, macro_f1
+from .evaluation import accuracy, average_ranks, macro_f1, rank_correlation
 from .profiles import Profile, separate_categories
 from .scoring import MethodConfig, score_period_pair
 # bench/spans.py patches these two names on this module by attribute, so
 # they stay bound here although build_feature_matrix no longer calls them.
 from .scoring import score_basic, score_separated  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +52,7 @@ class FeatureMatrix:
     missing: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         self.values = np.asarray(self.values, dtype=np.float64)
         self.missing = np.asarray(self.missing, dtype=bool)
         if self.values.shape != (len(self.word_ids), len(self.columns)):
@@ -61,6 +65,7 @@ class FeatureMatrix:
     def subset(self, word_ids: Sequence[str]) -> "FeatureMatrix":
         """Row subset in the given order, dropping columns that become
         all-missing or all-zero."""
+        import numpy as np
         index = {w: i for i, w in enumerate(self.word_ids)}
         try:
             rows = [index[w] for w in word_ids]
@@ -90,6 +95,7 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
     so does syntax for a word with no dependency relation in either
     period.
     """
+    import numpy as np
     period_a, period_b = pair
     scores = score_period_pair(profiles, pair, replace(
         config, feature_kind="combination", separation=True))
@@ -156,6 +162,7 @@ class LogregResult:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.empty_like(z)
     positive = z >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
@@ -177,6 +184,7 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     curvature, and stops when the gradient max-norm drops below
     ``tolerance``.
     """
+    import numpy as np
     if l2_inverse_strength <= 0:
         raise ConfigError("the inverse regularization strength must be positive")
     if set(matrix.word_ids) != set(labels):
@@ -235,26 +243,23 @@ class CategoryCorrelation:
     note: str = ""
 
 
-def _spearman_rho(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    ranks_x = rankdata(x, method="average")
-    ranks_y = rankdata(y, method="average")
-    if np.ptp(ranks_x) == 0 or np.ptp(ranks_y) == 0:
-        return None
-    return float(np.corrcoef(ranks_x, ranks_y)[0, 1])
-
-
 def spearman_p_value(rho: float, n: int) -> float:
     """Two-tailed p-value of a Spearman coefficient via the t
-    approximation with n-2 degrees of freedom."""
+    approximation with n-2 degrees of freedom.
+
+    ``stdtr(df, -|t|)`` is the Student-t survival function at ``|t|``,
+    the value ``scipy.stats.t.sf`` returns, without the cost of
+    importing ``scipy.stats``."""
     if n < 3:
         raise DataError("p-value needs at least 3 observations")
     if 1.0 - rho * rho <= 0.0:
         return 0.0
+    from scipy.special import stdtr
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return 2.0 * float(t_distribution.sf(abs(t), n - 2))
+    return 2.0 * float(stdtr(n - 2, -abs(t)))
 
 
-def exact_spearman_p_value(x: np.ndarray, y: np.ndarray) -> float:
+def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
     """Two-tailed permutation p-value: the share of permutations of y
     whose |rho| reaches the observed |rho|. Only feasible for n <= 10.
 
@@ -265,13 +270,13 @@ def exact_spearman_p_value(x: np.ndarray, y: np.ndarray) -> float:
     n = len(x)
     if n > 10:
         raise ConfigError("exact permutation p-values are limited to n <= 10")
-    ranks_x = rankdata(x, method="average")
-    ranks_y = rankdata(y, method="average")
-    if np.ptp(ranks_x) == 0 or np.ptp(ranks_y) == 0:
+    ranks_x = average_ranks(x)
+    ranks_y = average_ranks(y)
+    if min(ranks_x) == max(ranks_x) or min(ranks_y) == max(ranks_y):
         raise DataError("exact p-value undefined for constant input")
     mean_rank = (n + 1) / 2.0
-    centered_x = tuple(ranks_x - mean_rank)
-    centered_y = tuple(ranks_y - mean_rank)
+    centered_x = tuple(r - mean_rank for r in ranks_x)
+    centered_y = tuple(r - mean_rank for r in ranks_y)
     observed = abs(sum(a * b for a, b in zip(centered_x, centered_y)))
     threshold = observed - 1e-9
     count = 0
@@ -292,6 +297,7 @@ def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float
     With ``missing_as_absent`` a word that never expresses a category is
     dropped from that category's test instead of contributing a 0 cell.
     """
+    import numpy as np
     if set(matrix.word_ids) != set(gold_graded):
         missing = sorted(set(matrix.word_ids) ^ set(gold_graded))
         raise DataError(f"feature matrix and gold word sets differ: {missing}")
@@ -306,12 +312,13 @@ def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float
             keep = ~matrix.missing[:, j]
             cells = cells[keep]
             gold_cells = gold[keep]
+        cells, gold_cells = cells.tolist(), gold_cells.tolist()
         n = len(cells)
         if n < 5:
             results.append(CategoryCorrelation(column, None, None, False, n,
                                                note="insufficient data"))
             continue
-        rho = _spearman_rho(cells, gold_cells)
+        rho = rank_correlation(cells, gold_cells)
         if rho is None:
             results.append(CategoryCorrelation(column, None, None, False, n,
                                                note="constant values"))

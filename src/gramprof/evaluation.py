@@ -9,11 +9,9 @@ broken answer file and intersecting would inflate scores.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-import numpy as np
-from scipy.stats import rankdata
+from typing import Mapping, Optional, Sequence
 
 from .errors import DataError
 from .tsv import read_tsv
@@ -41,6 +39,42 @@ def _check_keys(pred: Mapping, gold: Mapping, what: str) -> None:
         raise DataError(f"{what}: prediction and gold word sets differ: {missing}")
 
 
+def average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks; tied values share the mean of their positions.
+
+    The mean of the positions ``i+1 .. j`` is ``(i + j + 1) / 2``, an
+    integer or a half, so every rank is an exact float. The values must
+    be totally ordered (no NaN).
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(order)
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end == len(order) or values[order[end]] != values[order[start]]:
+            rank = (start + end + 1) / 2
+            for i in order[start:end]:
+                ranks[i] = rank
+            start = end
+    return ranks
+
+
+def rank_correlation(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
+    """Pearson correlation of the average ranks of ``x`` and ``y``, or
+    None when either side has constant ranks.
+
+    numpy is imported here, not at module level, so that importing
+    gramprof stays cheap for the commands that never correlate. The
+    coefficient is ``np.corrcoef``'s: a pure-Python Pearson would sum in
+    another order and move the last bits of reported values.
+    """
+    ranks_x = average_ranks(x)
+    ranks_y = average_ranks(y)
+    if min(ranks_x) == max(ranks_x) or min(ranks_y) == max(ranks_y):
+        return None
+    import numpy as np
+    return float(np.corrcoef(ranks_x, ranks_y)[0, 1])
+
+
 def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
     """Spearman rank correlation with average ranks for ties.
 
@@ -52,11 +86,10 @@ def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
     if len(pred) < 2:
         raise DataError("spearman needs at least 2 words")
     word_ids = sorted(pred)
-    ranks_pred = rankdata([pred[w] for w in word_ids], method="average")
-    ranks_gold = rankdata([gold[w] for w in word_ids], method="average")
-    if np.ptp(ranks_pred) == 0 or np.ptp(ranks_gold) == 0:
+    rho = rank_correlation([pred[w] for w in word_ids], [gold[w] for w in word_ids])
+    if rho is None:
         raise DataError("spearman is undefined: constant ranks on one side")
-    return float(np.corrcoef(ranks_pred, ranks_gold)[0, 1])
+    return rho
 
 
 def accuracy(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
@@ -101,11 +134,14 @@ def macro_f1(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
 
 def load_gold(path) -> dict[str, GoldRecord]:
     """Read a gold file: ``word_id<TAB>binary<TAB>graded`` per line,
-    ``-`` for an absent value. ``#`` comments and blank lines allowed."""
+    ``-`` for an absent value. ``#`` comments and blank lines allowed.
+    Graded scores must be finite."""
     def parse(columns: list[str]) -> GoldRecord:
         word_id, binary, graded = columns
-        return GoldRecord(word_id, None if binary == "-" else int(binary),
-                          None if graded == "-" else float(graded))
+        score = None if graded == "-" else float(graded)
+        if score is not None and not math.isfinite(score):
+            raise ValueError(f"graded score {graded!r} is not finite")
+        return GoldRecord(word_id, None if binary == "-" else int(binary), score)
 
     return read_tsv(path, parse, "word_id<TAB>binary<TAB>graded", DataError, 3, 3)
 

@@ -211,6 +211,16 @@ def test_p_value_matches_oracle_randomly():
             == pytest.approx(student_t_two_tailed_oracle(t, n - 2), abs=1e-10)
 
 
+def test_p_value_bit_identical_to_scipy_stats_t_tail():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rhos = [k / 100 for k in range(-99, 100)] + [-0.999999, 0.999999, 1e-9]
+    for n in range(3, 501):
+        ts = np.array([rho * math.sqrt((n - 2) / (1.0 - rho * rho)) for rho in rhos])
+        expected = 2.0 * scipy_stats.t.sf(np.abs(ts), n - 2)
+        actual = np.array([spearman_p_value(rho, n) for rho in rhos])
+        assert actual.tobytes() == expected.tobytes(), n
+
+
 def test_p_value_monotone_in_rho():
     previous = 1.1
     for rho in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
@@ -293,8 +303,8 @@ def test_exact_p_roughly_tracks_t_approximation():
     rng = np.random.default_rng(23)
     x = rng.random(7)
     y = rng.random(7)
-    from gramprof.analysis import _spearman_rho
-    rho = _spearman_rho(x, y)
+    from gramprof.evaluation import rank_correlation
+    rho = rank_correlation(x, y)
     exact = exact_spearman_p_value(x, y)
     approx = spearman_p_value(rho, 7)
     assert abs(exact - approx) < 0.15

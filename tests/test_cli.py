@@ -1,11 +1,19 @@
 import json
 import logging
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gramprof
 from gramprof.cli import DatasetSpec, main
+from gramprof.decision import classify_changepoint, rank_words
 from gramprof.errors import ConfigError
-from gramprof.profiles import ProfileStore
+from gramprof.profiles import Profile, ProfileStore
+from gramprof.scoring import MethodConfig, score_period_pair
 
 OLD_CORPUS = """\
 # period one
@@ -435,3 +443,160 @@ def test_store_record_with_unknown_period_exits_1(dataset, capsys):
     assert run(["score", store]) == 1
     assert (f"profile store line {len(lines) + 1}: period 'later' is not one of "
             f"the header's periods") in capsys.readouterr().err
+
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The README quick-start store, scores and labels of the bundled
+    demo data."""
+    d = tmp_path_factory.mktemp("demo")
+    paths = {"data": DEMO, "d": d, "store": d / "store.jsonl",
+             "scores": d / "scores.tsv", "labels": d / "labels.tsv"}
+    assert run(["extract", "-c", DEMO / "dataset.yml", "-o", paths["store"]]) == 0
+    assert run(["score", paths["store"], "--features", "combination", "--separate",
+                "-o", paths["scores"]]) == 0
+    assert run(["classify", paths["scores"], "--changepoint", "-o", paths["labels"]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["evaluate", "{scores}", "{gold}", "--task", "graded"],
+    ["analyze", "{store}", "{gold}", "--report", "correlation"],
+], ids=lambda command: command[0])
+def test_non_finite_gold_score_is_rejected(demo, tmp_path, capsys, command, value):
+    lines = (DEMO / "gold.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    word_id, binary, _ = lines[1].split("\t")
+    lines[1] = f"{word_id}\t{binary}\t{value}\n"
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run([arg.format(gold=gold, **demo) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("output_format", ["text", "json-lines"])
+def test_exact_p_report_writes_plain_booleans(demo, capsys, output_format):
+    capsys.readouterr()
+    assert run(["analyze", demo["store"], DEMO / "gold.tsv", "--report", "correlation",
+                "--exact-p", "--format", output_format]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if output_format == "json-lines":
+        assert {type(json.loads(line)["significant"]) for line in lines} == {bool}
+    else:
+        assert [line.split()[3] for line in lines[1:]] == ["no"] * (len(lines) - 1)
+
+
+# Imports gramprof in a fresh interpreter, runs the CLI command given as
+# arguments (if any) and prints the numpy and scipy modules then loaded.
+MODULES_PROBE = """\
+import contextlib, io, sys
+import gramprof
+if len(sys.argv) > 1:
+    from gramprof.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+    if code != 0:
+        sys.exit(f"exit {code}")
+print(" ".join(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
+"""
+
+
+NO_NUMPY = ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("argv, needed, absent", [
+    pytest.param([], [], NO_NUMPY, id="import"),
+    pytest.param(["extract", "-c", "{data}/dataset.yml", "-o", "{d}/again.jsonl"], [],
+                 NO_NUMPY, id="extract"),
+    pytest.param(["score", "{store}", "--features", "combination", "--separate"], [],
+                 NO_NUMPY, id="score"),
+    pytest.param(["classify", "{scores}", "--changepoint"], [], NO_NUMPY, id="classify"),
+    pytest.param(["timeline", "{store}", "lass", "Number"], [], NO_NUMPY, id="timeline"),
+    pytest.param(["rank", "{scores}"], [], NO_NUMPY, id="rank"),
+    pytest.param(["combine-labels", "{labels}", "{labels}"], [], NO_NUMPY,
+                 id="combine-labels"),
+    pytest.param(["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary"], [],
+                 NO_NUMPY, id="evaluate-binary"),
+    pytest.param(["evaluate", "{scores}", "{data}/gold.tsv", "--task", "graded"],
+                 ["numpy"], ["scipy"], id="evaluate"),
+    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
+                 ["numpy"], ["scipy"], id="analyze-logreg"),
+    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
+                 ["numpy"], ["scipy.stats"], id="analyze"),
+    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation",
+                  "--exact-p"], ["numpy"], ["scipy"], id="analyze-exact-p"),
+])
+def test_commands_import_only_what_they_use(demo, argv, needed, absent):
+    src = str(Path(gramprof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE,
+                           *(arg.format(**demo) for arg in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert set(needed) <= loaded
+    assert not loaded & set(absent)
+
+
+def random_store(path, rng, n_words):
+    """A two-period store of words with 1-30 random tokens per period,
+    so that many scores tie exactly or nearly."""
+    feats = ["_", "Number=Sing", "Number=Plur", "Case=Nom|Number=Sing",
+             "Case=Acc|Number=Plur", "Tense=Past|VerbForm=Fin"]
+    deprels = ["nsubj", "obj", "obl", "root"]
+    profiles = {}
+    for i in range(n_words):
+        for period in ("old", "new"):
+            profile = profiles[(f"w{i:03d}", period)] = Profile(f"w{i:03d}", period)
+            for _ in range(rng.randrange(1, 31)):
+                profile.add_token(rng.choice(feats), rng.choice(deprels))
+    store = ProfileStore(periods=["old", "new"], profiles=profiles)
+    with open(path, "w", encoding="utf-8") as f:
+        store.save(f)
+    return store
+
+
+@pytest.mark.parametrize("flags, config", [
+    pytest.param([], MethodConfig(), id="morphology"),
+    pytest.param(["--features", "syntax"], MethodConfig(feature_kind="syntax"),
+                 id="syntax"),
+    pytest.param(["--features", "average"], MethodConfig(feature_kind="average"),
+                 id="average"),
+    pytest.param(["--separate"], MethodConfig(separation=True), id="separate"),
+    pytest.param(["--separate", "--aggregate", "mean"],
+                 MethodConfig(separation=True, aggregation="mean"), id="separate-mean"),
+    pytest.param(["--features", "combination", "--separate"],
+                 MethodConfig(feature_kind="combination", separation=True),
+                 id="combination"),
+])
+def test_cli_changepoint_labels_equal_library_on_full_precision(tmp_path, capsys,
+                                                                flags, config):
+    store = random_store(tmp_path / "store.jsonl", random.Random(41), 300)
+    scores = score_period_pair(store.profiles, ("old", "new"), config)
+    expected = classify_changepoint(rank_words({s.word_id: s.aggregate for s in scores}))
+    assert run(["score", tmp_path / "store.jsonl", *flags,
+                "-o", tmp_path / "scores.tsv"]) == 0
+    capsys.readouterr()
+    assert run(["classify", tmp_path / "scores.tsv", "--changepoint"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert {w: int(v) for w, v in (line.split("\t") for line in lines)} == expected
+
+
+def test_changepoint_on_a_tie_made_by_six_decimals(tmp_path, capsys):
+    """0.5000002 and 0.4999999 both print as 0.500000. At full precision
+    the best split labels a, b and c changed. On the printed scores the
+    splits after a and after c tie exactly, and the lowest split wins:
+    only a is labelled changed."""
+    full = {"a": 1.0, "b": 0.5000002, "c": 0.4999999, "d": 0.0}
+    assert classify_changepoint(rank_words(full)) == {"a": 1, "b": 1, "c": 1, "d": 0}
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"{w}\t{v:.6f}\n" for w, v in rank_words(full)),
+                      encoding="utf-8")
+    assert run(["classify", scores, "--changepoint"]) == 0
+    assert capsys.readouterr().out == "a\t1\nb\t0\nc\t0\nd\t0\n"

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from gramprof.errors import DataError
-from gramprof.evaluation import (GoldRecord, accuracy, binary_gold, graded_gold,
-                                 load_gold, macro_f1, per_class_f1, spearman)
+from gramprof.evaluation import (GoldRecord, accuracy, average_ranks, binary_gold,
+                                 graded_gold, load_gold, macro_f1, per_class_f1,
+                                 spearman)
 
-from oracles import spearman_oracle
+from oracles import average_ranks_oracle, spearman_oracle
 
 # frozen from the oracle: ranks (1,2,3,4) against tied gold ranks
 # (1, 2.5, 2.5, 4) give 4.5 / sqrt(22.5)
@@ -67,6 +68,21 @@ def test_spearman_symmetric_and_matches_oracle():
         assert rho == pytest.approx(spearman_oracle(pred_values, gold_values),
                                     abs=1e-9)
         assert -1.0 <= rho <= 1.0 + 1e-12
+
+
+def test_average_ranks_equal_oracle_and_rankdata_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    rng = random.Random(31)
+    for n in range(1, 201):
+        levels = rng.choice([1, 2, 3, 5, n // 3 + 1, n])
+        values = [rng.randrange(levels) / rng.choice([1, 4, 10]) for _ in range(n)]
+        if rng.random() < 0.5:
+            values = [v - 0.5 for v in values] + [-0.0, 0.0][:rng.randrange(3)]
+        ranks = average_ranks(values)
+        assert ranks == average_ranks_oracle(values)
+        assert np.array(ranks).tobytes() \
+            == rankdata(values, method="average").tobytes()
 
 
 def test_spearman_invariant_under_monotone_transform():
