@@ -46,7 +46,7 @@ print("planted change this walkthrough is meant to recover.")
 
 banner("2. Separate combined feature strings into per-category counts")
 separated = separate_categories(profiles[("record_vb", "old")])
-for category, values in sorted(separated.categories.items()):
+for category, values in sorted(separated.items()):
     print(f"  {category}: {values}")
 print("Each combined FEATS string contributes its count to every category")
 print("it mentions, so sparse word-form distributions become dense")

@@ -185,8 +185,9 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     ``tolerance``.
     """
     import numpy as np
-    if l2_inverse_strength <= 0:
-        raise ConfigError("the inverse regularization strength must be positive")
+    if not l2_inverse_strength > 0:  # also rejects NaN
+        raise ConfigError(f"the inverse regularization strength must be positive, "
+                          f"got {l2_inverse_strength}")
     if set(matrix.word_ids) != set(labels):
         missing = sorted(set(matrix.word_ids) ^ set(labels))
         raise DataError(f"feature matrix and label word sets differ: {missing}")
@@ -355,13 +356,13 @@ def timeline(profiles_by_period: Mapping[str, Profile], category: str
     available: set[str] = set()
     for period, profile in profiles_by_period.items():
         separated = separate_categories(profile)
-        available.update(separated.categories)
+        available.update(separated)
         if profile.synt:
             available.add(SYNTAX_COLUMN)
         if category == SYNTAX_COLUMN:
             per_period_counts[period] = dict(profile.synt)
         else:
-            per_period_counts[period] = separated.categories.get(category, {})
+            per_period_counts[period] = separated.get(category, {})
     if all(not counts for counts in per_period_counts.values()):
         raise DataError(
             f"category {category!r} not found for this word; available: "

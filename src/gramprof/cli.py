@@ -68,6 +68,8 @@ class DatasetSpec:
         for a, b in self.pairs:
             if a not in labels or b not in labels:
                 raise ConfigError(f"pair ({a!r}, {b!r}) references an undeclared period")
+            if a == b:
+                raise ConfigError(f"pair ({a!r}, {b!r}) must name two different periods")
 
     @property
     def period_labels(self) -> list[str]:
@@ -183,6 +185,8 @@ def _resolve_pair(store: ProfileStore, pair: Optional[list[str]]) -> tuple[str, 
     for label in (a, b):
         if label not in store.periods:
             raise ConfigError(f"period {label!r} not in store (has {store.periods})")
+    if a == b:
+        raise ConfigError(f"--pair must name two different periods, got {a!r} twice")
     return a, b
 
 
@@ -236,10 +240,11 @@ def cmd_extract(args) -> int:
     spec = load_dataset_spec(args.config)
     targets = load_targets(spec.targets_path)
     corpora = {label: paths for label, paths in spec.periods}
+    match_field = "form" if args.match_form else "lemma"
     profiles = extract_profiles(
         corpora, targets,
         case_fold=args.case_fold,
-        match_field="form" if args.match_form else "lemma",
+        match_field=match_field,
         strip_subtypes=args.strip_deprel_subtype,
         errors="strict" if args.strict else "skip",
     )
@@ -249,7 +254,7 @@ def cmd_extract(args) -> int:
         options={
             "dataset": spec.name,
             "case_fold": args.case_fold,
-            "match_field": "form" if args.match_form else "lemma",
+            "match_field": match_field,
             "strip_deprel_subtype": args.strip_deprel_subtype,
         },
     )
@@ -298,10 +303,9 @@ def cmd_classify(args) -> int:
     if args.changepoint:
         labels = classify_changepoint(ranking)
     else:
-        ratio = args.ratio if args.ratio is not None else DEFAULT_RATIO
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigError(f"--ratio must be in [0, 1], got {ratio}")
-        labels = classify_topn(ranking, ratio)
+        if not 0.0 <= args.ratio <= 1.0:
+            raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
+        labels = classify_topn(ranking, args.ratio)
     with _output(args.output) as stream:
         for word_id, _ in ranking:
             stream.write(f"{word_id}\t{labels[word_id]}\n")
@@ -343,7 +347,8 @@ def cmd_analyze(args) -> int:
         if not keep:
             raise DataError(f"no words match suffix {args.subset_suffix!r}")
         matrix = matrix.subset(keep)
-        gold_records = {w: r for w, r in gold_records.items() if w in set(keep)}
+        kept = set(keep)
+        gold_records = {w: r for w, r in gold_records.items() if w in kept}
 
     if args.report == "logreg":
         gold = binary_gold(gold_records)

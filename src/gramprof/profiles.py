@@ -52,23 +52,6 @@ class Profile:
             )
 
 
-@dataclass
-class CategoryProfile:
-    """A profile with combined FEATS strings split into one value
-    distribution per morphological category.
-
-    ``total`` is the word's occurrence count in the period, carried
-    over from the source profile because rare-feature filtering is
-    defined against total word usages.
-    """
-
-    word_id: str
-    period: str
-    categories: dict[str, dict[str, int]] = field(default_factory=dict)
-    synt: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-
-
 # FEATS string -> its (category, value) pairs, for strings that split
 # without dropping an entry. A store repeats few distinct FEATS strings
 # across its profiles (752 distinct in 144,054 entries on the benchmark's
@@ -80,8 +63,9 @@ _feats_memo: dict[str, list[tuple[str, str]]] = {}
 _FEATS_MEMO_LIMIT = 1 << 16
 
 
-def separate_categories(profile: Profile) -> CategoryProfile:
-    """Split combined FEATS counts into per-category value counts.
+def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
+    """Split combined FEATS counts into per-category value counts:
+    category -> value -> count.
 
     Each FEATS string ``K1=V1|K2=V2`` with count c adds c to every
     (Ki, Vi) cell, so per-category sums are preserved. Malformed FEATS
@@ -100,13 +84,7 @@ def separate_categories(profile: Profile) -> CategoryProfile:
         for key, value in pairs:
             values = categories.setdefault(key, {})
             values[value] = values.get(value, 0) + count
-    return CategoryProfile(
-        word_id=profile.word_id,
-        period=profile.period,
-        categories=categories,
-        synt=dict(profile.synt),
-        total=profile.total,
-    )
+    return categories
 
 
 def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]

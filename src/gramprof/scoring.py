@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .profiles import CategoryProfile, Profile, build_vectors, separate_categories
+from .profiles import Profile, build_vectors, separate_categories
 
 FEATURE_KINDS = ("morphology", "syntax", "average", "combination")
 AGGREGATIONS = ("max", "mean")
@@ -145,28 +145,21 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
             {k: v for k, v in counts_b.items() if k in kept})
 
 
-def score_basic(profile_a: Profile, profile_b: Profile, kind: str,
-                config: MethodConfig) -> float:
-    """Distance between two periods on one feature table (``morphology``
-    or ``syntax``), with rare-feature filtering."""
-    if profile_a.word_id != profile_b.word_id:
-        raise ValueError("profiles belong to different words")
-    if kind == "morphology":
-        counts_a, counts_b = profile_a.morph, profile_b.morph
-    elif kind == "syntax":
-        counts_a, counts_b = profile_a.synt, profile_b.synt
-    else:
-        raise ValueError(f"unknown feature table {kind!r}")
+def score_basic(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
+                total_a: int, total_b: int, config: MethodConfig) -> float:
+    """Distance between one word's count tables in two periods: filter
+    rare features against the word's totals, align, take the cosine.
+    Every distance of every method variant is computed here."""
     counts_a, counts_b = filter_rare(
-        counts_a, counts_b, profile_a.total, profile_b.total,
+        counts_a, counts_b, total_a, total_b,
         config.filter_threshold, per_period=config.per_period_filter,
     )
     vector_a, vector_b = build_vectors(counts_a, counts_b)
     return cosine_distance(vector_a, vector_b, config.zero_profile_distance)
 
 
-def score_separated(cat_a: CategoryProfile, cat_b: CategoryProfile,
-                    config: MethodConfig) -> tuple[dict[str, float], Optional[float]]:
+def score_separated(profile_a: Profile, profile_b: Profile, config: MethodConfig
+                    ) -> tuple[dict[str, float], Optional[float]]:
     """Per-category distances plus their max (or mean) aggregate.
 
     Filtering is applied after separation, per category, against the
@@ -175,19 +168,13 @@ def score_separated(cat_a: CategoryProfile, cat_b: CategoryProfile,
     distance. Returns (per_category, aggregate); the aggregate is None
     when no morphological category exists in either period.
     """
-    if cat_a.word_id != cat_b.word_id:
-        raise ValueError("profiles belong to different words")
-    per_category: dict[str, float] = {}
-    for name in sorted(set(cat_a.categories) | set(cat_b.categories)):
-        values_a = cat_a.categories.get(name, {})
-        values_b = cat_b.categories.get(name, {})
-        values_a, values_b = filter_rare(
-            values_a, values_b, cat_a.total, cat_b.total,
-            config.filter_threshold, per_period=config.per_period_filter,
-        )
-        vector_a, vector_b = build_vectors(values_a, values_b)
-        per_category[name] = cosine_distance(vector_a, vector_b,
-                                             config.zero_profile_distance)
+    categories_a = separate_categories(profile_a)
+    categories_b = separate_categories(profile_b)
+    per_category = {
+        name: score_basic(categories_a.get(name, {}), categories_b.get(name, {}),
+                          profile_a.total, profile_b.total, config)
+        for name in sorted(categories_a.keys() | categories_b.keys())
+    }
     if not per_category:
         return per_category, None
     distances = list(per_category.values())
@@ -196,50 +183,26 @@ def score_separated(cat_a: CategoryProfile, cat_b: CategoryProfile,
     return per_category, math.fsum(distances) / len(distances)
 
 
-def combine_average(d_morph: Optional[float], d_synt: Optional[float]) -> float:
-    """Arithmetic mean of the two distances; falls back to whichever is
-    present when the other is missing."""
-    if d_morph is None and d_synt is None:
-        raise DataError("no features for word: both distances are missing")
-    if d_morph is None:
-        return d_synt
-    if d_synt is None:
-        return d_morph
-    return (d_morph + d_synt) / 2.0
-
-
-def combine_append_max(per_category: Mapping[str, float],
-                       d_synt: Optional[float]) -> float:
-    """Append the syntactic distance to the per-category distances and
-    take the maximum, weighting syntax down as the morphological
-    profile gets richer."""
-    distances = list(per_category.values())
-    if d_synt is not None:
-        distances.append(d_synt)
-    if not distances:
-        raise DataError("no features for word: no category distances and no "
-                        "syntactic distance")
-    return max(distances)
-
-
 def score_word_pair(profile_a: Profile, profile_b: Profile,
                     config: MethodConfig) -> ChangeScore:
     """Compute one word's change score under the configured method."""
+    if profile_a.word_id != profile_b.word_id:
+        raise ValueError("profiles belong to different words")
     d_morph: Optional[float] = None
     d_synt: Optional[float] = None
     per_category: dict[str, float] = {}
     kind = config.feature_kind
 
-    if kind in ("syntax", "average", "combination"):
-        d_synt = score_basic(profile_a, profile_b, "syntax", config)
+    if kind != "morphology":
+        d_synt = score_basic(profile_a.synt, profile_b.synt,
+                             profile_a.total, profile_b.total, config)
 
-    if kind in ("morphology", "average", "combination"):
+    if kind != "syntax":
         if config.separation:
-            per_category, d_morph = score_separated(
-                separate_categories(profile_a), separate_categories(profile_b), config
-            )
+            per_category, d_morph = score_separated(profile_a, profile_b, config)
         else:
-            d_morph = score_basic(profile_a, profile_b, "morphology", config)
+            d_morph = score_basic(profile_a.morph, profile_b.morph,
+                                  profile_a.total, profile_b.total, config)
 
     if kind == "morphology":
         # A word with no morphological category at all gives no signal;
@@ -248,9 +211,11 @@ def score_word_pair(profile_a: Profile, profile_b: Profile,
     elif kind == "syntax":
         aggregate = d_synt
     elif kind == "average":
-        aggregate = combine_average(d_morph, d_synt)
+        aggregate = d_synt if d_morph is None else (d_morph + d_synt) / 2.0
     else:
-        aggregate = combine_append_max(per_category, d_synt)
+        # Appending the syntactic distance to the per-category ones
+        # weights syntax down as the morphological profile gets richer.
+        aggregate = max([*per_category.values(), d_synt])
 
     return ChangeScore(
         word_id=profile_a.word_id,

@@ -23,9 +23,8 @@ from gramprof.conllu import load_targets
 from gramprof.decision import classify_changepoint, rank_words
 from gramprof.evaluation import graded_gold, load_gold, spearman
 from gramprof.profiles import Profile, extract_profiles, separate_categories
-from gramprof.scoring import (MethodConfig, combine_append_max, cosine_distance,
-                              filter_rare, score_basic, score_separated,
-                              score_period_pair, score_word_pair)
+from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
+                              score_separated, score_period_pair, score_word_pair)
 
 from oracles import best_split_oracle, cosine_distance_oracle, spearman_oracle
 from synth import synthetic_corpus_pair
@@ -60,8 +59,7 @@ def test_criterion_1_category_separation_reference_counts():
     }
     profile = Profile("circle", "1810-1860", morph=morph, synt={"root": 102},
                       total=102)
-    separated = separate_categories(profile)
-    assert separated.categories == {
+    assert separate_categories(profile) == {
         "Tense": {"Past": 42, "Pres": 51},
         "VerbForm": {"Part": 68, "Fin": 25, "Inf": 9},
         "Mood": {"Ind": 25},
@@ -181,7 +179,7 @@ def test_criterion_6_property_suite():
         for profile in (profile_a, profile_b):
             profile.validate()
             separated = separate_categories(profile)
-            for category, value_counts in separated.categories.items():
+            for category, value_counts in separated.items():
                 expected = sum(
                     count for feats, count in profile.morph.items()
                     if any(pair.split("=")[0] == category
@@ -217,21 +215,23 @@ def test_criterion_6_property_suite():
             synt={k: scale * v for k, v in profile_a.synt.items()},
             total=scale * profile_a.total,
         )
-        assert abs(score_basic(profile_a, profile_b, "morphology", unfiltered)
-                   - score_basic(scaled_a, profile_b, "morphology", unfiltered)) \
-            < 1e-12
+        for table in ("morph", "synt"):
+            assert abs(score_basic(getattr(profile_a, table), getattr(profile_b, table),
+                                   profile_a.total, profile_b.total, unfiltered)
+                       - score_basic(getattr(scaled_a, table), getattr(profile_b, table),
+                                     scaled_a.total, profile_b.total, unfiltered)) < 1e-12
 
         # aggregation dominance and the append-max lower bound
-        cat_a = separate_categories(profile_a)
-        cat_b = separate_categories(profile_b)
-        per_category, aggregate_max = score_separated(cat_a, cat_b, SEPARATED_MAX)
+        per_category, aggregate_max = score_separated(profile_a, profile_b, SEPARATED_MAX)
         _, aggregate_mean = score_separated(
-            cat_a, cat_b, MethodConfig(feature_kind="morphology", separation=True,
-                                       aggregation="mean", filter_threshold=0.05))
+            profile_a, profile_b, MethodConfig(feature_kind="morphology", separation=True,
+                                               aggregation="mean", filter_threshold=0.05))
         if aggregate_max is not None:
             assert aggregate_max >= aggregate_mean >= 0.0
-            d_synt = score_basic(profile_a, profile_b, "syntax", SEPARATED_MAX)
-            assert combine_append_max(per_category, d_synt) >= aggregate_max
+            combination = score_word_pair(profile_a, profile_b, MethodConfig(
+                feature_kind="combination", separation=True, filter_threshold=0.05))
+            assert combination.per_category == per_category
+            assert combination.aggregate >= aggregate_max
     report(6, "all counting, filtering and scoring invariants hold on 1000 "
               "random profiles")
 

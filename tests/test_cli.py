@@ -330,6 +330,18 @@ def test_dataset_spec_rejects_unknown_pair_label():
                     targets_path="t", pairs=[("p1", "p9")])
 
 
+def test_dataset_spec_rejects_pair_of_one_period(dataset, capsys):
+    with pytest.raises(ConfigError, match="two different periods"):
+        DatasetSpec(name="bad", periods=[("p1", ["a"]), ("p2", ["b"])],
+                    targets_path="t", pairs=[("p1", "p2"), ("p1", "p1")])
+    config = dataset / "dataset.yml"
+    config.write_text(config.read_text(encoding="utf-8") + "pairs:\n  - [old, old]\n",
+                      encoding="utf-8")
+    assert run(["extract", "-c", config, "-o", dataset / "store.jsonl"]) == 2
+    assert "two different periods" in capsys.readouterr().err
+    assert not (dataset / "store.jsonl").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         run(["--version"])
@@ -489,6 +501,28 @@ def test_exact_p_report_writes_plain_booleans(demo, capsys, output_format):
         assert {type(json.loads(line)["significant"]) for line in lines} == {bool}
     else:
         assert [line.split()[3] for line in lines[1:]] == ["no"] * (len(lines) - 1)
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "{store}"],
+    ["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
+], ids=lambda command: command[0])
+def test_pair_naming_one_period_twice_exits_2(demo, capsys, command):
+    capsys.readouterr()
+    assert run([arg.format(**demo) for arg in command] + ["--pair", "old", "old"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pair must name two different periods, got 'old' twice" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_analyze_l2_must_be_positive(demo, capsys, value):
+    capsys.readouterr()
+    assert run(["analyze", demo["store"], DEMO / "gold.tsv", "--report", "logreg",
+                "--l2", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inverse regularization strength must be positive" in captured.err
 
 
 # Imports gramprof in a fresh interpreter, runs the CLI command given as

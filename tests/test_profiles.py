@@ -100,25 +100,22 @@ def test_extract_strip_subtypes():
 def test_separate_categories_reference_counts():
     profile = Profile("circle", "t1", morph=dict(VERB_MORPH),
                       synt={"root": 102}, total=102)
-    separated = separate_categories(profile)
-    assert separated.categories == VERB_CATEGORIES
-    assert separated.synt == {"root": 102}
-    assert separated.total == 102
+    assert separate_categories(profile) == VERB_CATEGORIES
 
 
 def test_separate_categories_empty():
-    assert separate_categories(Profile("x", "t")).categories == {}
+    assert separate_categories(Profile("x", "t")) == {}
 
 
 def test_separate_categories_single_key():
     profile = Profile("x", "t", morph={"Number=Sing": 3}, synt={"root": 3}, total=3)
-    assert separate_categories(profile).categories == {"Number": {"Sing": 3}}
+    assert separate_categories(profile) == {"Number": {"Sing": 3}}
 
 
 def test_separate_categories_skips_malformed_key():
     profile = Profile("x", "t", morph={"Number=Sing|Broken": 2},
                       synt={"root": 2}, total=2)
-    assert separate_categories(profile).categories == {"Number": {"Sing": 2}}
+    assert separate_categories(profile) == {"Number": {"Sing": 2}}
 
 
 # FEATS strings shared across profiles: repeated keys, a value holding
@@ -147,8 +144,7 @@ def test_separate_categories_matches_oracle_in_any_call_order(caplog):
             with caplog.at_level("WARNING", logger="gramprof.conllu"):
                 separated = separate_categories(profiles[i])
             categories, dropped = expected[i]
-            assert separated.categories == categories
-            assert (separated.synt, separated.total) == (profiles[i].synt, profiles[i].total)
+            assert separated == categories
             assert len(caplog.records) == dropped
 
 
@@ -162,7 +158,7 @@ def test_shared_malformed_feats_warns_per_occurrence_on_every_call(caplog):
                 separated = separate_categories(profile)
             assert [r.getMessage() for r in caplog.records] == [
                 "skipping malformed FEATS entry 'Oops' in 'Number=Sing|Oops'"]
-            assert separated.categories["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
+            assert separated["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
 
 
 def test_count_preservation_random():
@@ -178,7 +174,7 @@ def test_count_preservation_random():
         total = sum(morph.values()) + rng.randrange(0, 5)
         profile = Profile("w", "t", morph=morph, synt={"root": total}, total=total)
         separated = separate_categories(profile)
-        for category, value_counts in separated.categories.items():
+        for category, value_counts in separated.items():
             expected = sum(
                 count for feats, count in morph.items()
                 if any(feats_key == category

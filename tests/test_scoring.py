@@ -5,8 +5,7 @@ import pytest
 
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import Profile, build_vectors, separate_categories
-from gramprof.scoring import (MethodConfig, combine_append_max, combine_average,
-                              cosine_distance, filter_rare, score_basic,
+from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
                               score_separated, score_word_pair, score_period_pair)
 
 from oracles import cosine_distance_oracle, filter_keeps_oracle
@@ -200,33 +199,50 @@ def test_filter_bad_threshold():
 def test_score_basic_identical_profiles():
     profile = Profile("w", "a", {"Number=Sing": 5}, {"nsubj": 5}, 5)
     other = Profile("w", "b", {"Number=Sing": 5}, {"nsubj": 5}, 5)
-    assert score_basic(profile, other, "morphology", default_config()) == 0.0
-    assert score_basic(profile, other, "syntax", default_config()) == 0.0
+    assert score_basic(profile.morph, other.morph, 5, 5, default_config()) == 0.0
+    assert score_basic(profile.synt, other.synt, 5, 5, default_config()) == 0.0
 
 
 def test_score_basic_word_vanished():
-    present = Profile("w", "a", {"Number=Sing": 5}, {"nsubj": 5}, 5)
-    absent = Profile("w", "b", {}, {}, 0)
-    assert score_basic(present, absent, "morphology", default_config()) == 1.0
+    assert score_basic({"Number=Sing": 5}, {}, 5, 0, default_config()) == 1.0
+    assert score_basic({"Number=Sing": 5}, {}, 5, 0,
+                       default_config(zero_profile_distance=0.25)) == 0.25
 
 
 def test_score_basic_rare_forms_filtered_to_zero_distance():
     # the two single-occurrence word forms fall below the 5% cutoff in
     # both periods; the surviving features coincide, so no change
-    profile_a = Profile("circle", "a", dict(VERB_MORPH), {"root": 102}, 102)
-    profile_b = Profile("circle", "b", dict(VERB_MORPH), {"root": 102}, 102)
-    assert score_basic(profile_a, profile_b, "morphology", default_config()) == 0.0
-    filtered_a, _ = filter_rare(profile_a.morph, profile_b.morph, 102, 102, 0.05)
+    assert score_basic(dict(VERB_MORPH), dict(VERB_MORPH), 102, 102,
+                       default_config()) == 0.0
+    filtered_a, _ = filter_rare(VERB_MORPH, VERB_MORPH, 102, 102, 0.05)
     assert set(filtered_a) == {
         "Tense=Pres|VerbForm=Part", "Mood=Ind|Tense=Past|VerbForm=Fin",
         "Tense=Past|VerbForm=Part|Voice=Pass", "VerbForm=Inf",
     }
 
 
-def test_score_basic_mismatched_words():
-    with pytest.raises(ValueError):
-        score_basic(Profile("a", "x"), Profile("b", "y"), "morphology",
-                    default_config())
+def test_score_basic_equals_oracle_on_filtered_tables():
+    rng = random.Random(47)
+    for per_period in (False, True):
+        config = default_config(filter_threshold=0.1, per_period_filter=per_period)
+        for _ in range(200):
+            counts_a = {f"f{i}": rng.randrange(1, 40) for i in rng.sample(range(8), 4)}
+            counts_b = {f"f{i}": rng.randrange(1, 40) for i in rng.sample(range(8), 4)}
+            total_a, total_b = sum(counts_a.values()), sum(counts_b.values())
+            kept_a = {k: v for k, v in counts_a.items() if filter_keeps_oracle(
+                v + counts_b.get(k, 0), total_a if per_period else total_a + total_b, 0.1)}
+            kept_b = {k: v for k, v in counts_b.items() if filter_keeps_oracle(
+                v + counts_a.get(k, 0), total_b if per_period else total_a + total_b, 0.1)}
+            keys = sorted(kept_a.keys() | kept_b.keys())
+            expected = cosine_distance_oracle([kept_a.get(k, 0) for k in keys],
+                                              [kept_b.get(k, 0) for k in keys])
+            assert abs(score_basic(counts_a, counts_b, total_a, total_b, config)
+                       - expected) < 1e-12
+
+
+def test_score_word_pair_mismatched_words():
+    with pytest.raises(ValueError, match="different words"):
+        score_word_pair(Profile("a", "x"), Profile("b", "y"), default_config())
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +253,16 @@ def flipped_number_profiles():
                         {"nsubj": 100}, 100)
     profile_b = Profile("w", "b", {"Number=Sing": 20, "Number=Plur": 80},
                         {"nsubj": 100}, 100)
-    return separate_categories(profile_a), separate_categories(profile_b)
+    return profile_a, profile_b
 
 
 def test_score_separated_flipped_number():
-    cat_a, cat_b = flipped_number_profiles()
-    per_category, aggregate = score_separated(cat_a, cat_b, default_config())
+    profile_a, profile_b = flipped_number_profiles()
+    per_category, aggregate = score_separated(profile_a, profile_b, default_config())
     assert abs(per_category["Number"] - FLIPPED_NUMBER_DISTANCE) < 1e-12
     assert abs(aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
-    v_a, v_b = build_vectors(cat_a.categories["Number"], cat_b.categories["Number"])
+    v_a, v_b = build_vectors(separate_categories(profile_a)["Number"],
+                             separate_categories(profile_b)["Number"])
     assert abs(cosine_distance_oracle(v_a, v_b) - FLIPPED_NUMBER_DISTANCE) < 1e-15
 
 
@@ -256,29 +273,32 @@ def test_score_separated_max_ignores_stable_category():
     profile_b = Profile("w", "b",
                         {"Case=Nom|Number=Sing": 20, "Case=Nom|Number=Plur": 80},
                         {"nsubj": 100}, 100)
-    per_category, aggregate = score_separated(separate_categories(profile_a),
-                                              separate_categories(profile_b),
-                                              default_config())
+    per_category, aggregate = score_separated(profile_a, profile_b, default_config())
     assert per_category["Case"] == 0.0
     assert abs(aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
 
 
 def test_score_separated_identical_profiles():
-    cat = separate_categories(
-        Profile("w", "a", dict(VERB_MORPH), {"root": 102}, 102))
-    per_category, aggregate = score_separated(cat, cat, default_config())
+    profile = Profile("w", "a", dict(VERB_MORPH), {"root": 102}, 102)
+    per_category, aggregate = score_separated(profile, profile, default_config())
+    assert set(per_category) == {"Mood", "Tense", "VerbForm", "Voice"}
     assert all(d == 0.0 for d in per_category.values())
     assert aggregate == 0.0
 
 
 def test_score_separated_mean_aggregation():
-    cat_a, cat_b = flipped_number_profiles()
-    # add a stable category so max and mean differ
-    cat_a.categories["Case"] = {"Nom": 50, "Acc": 50}
-    cat_b.categories["Case"] = {"Nom": 50, "Acc": 50}
-    _, aggregate_max = score_separated(cat_a, cat_b, default_config())
-    _, aggregate_mean = score_separated(cat_a, cat_b,
+    # the flipped Number of flipped_number_profiles plus a stable Case,
+    # so max and mean differ
+    profile_a = Profile("w", "a", {"Case=Nom|Number=Sing": 40, "Case=Acc|Number=Sing": 40,
+                                   "Case=Nom|Number=Plur": 10, "Case=Acc|Number=Plur": 10},
+                        {"nsubj": 100}, 100)
+    profile_b = Profile("w", "b", {"Case=Nom|Number=Sing": 10, "Case=Acc|Number=Sing": 10,
+                                   "Case=Nom|Number=Plur": 40, "Case=Acc|Number=Plur": 40},
+                        {"nsubj": 100}, 100)
+    per_category, aggregate_max = score_separated(profile_a, profile_b, default_config())
+    _, aggregate_mean = score_separated(profile_a, profile_b,
                                         default_config(aggregation="mean"))
+    assert per_category["Case"] == 0.0
     assert abs(aggregate_max - FLIPPED_NUMBER_DISTANCE) < 1e-12
     assert abs(aggregate_mean - FLIPPED_NUMBER_DISTANCE / 2) < 1e-12
     assert aggregate_max >= aggregate_mean >= 0.0
@@ -287,9 +307,7 @@ def test_score_separated_mean_aggregation():
 def test_score_separated_category_in_one_period_only():
     profile_a = Profile("w", "a", {"Number=Sing|Voice=Pass": 40}, {"root": 40}, 40)
     profile_b = Profile("w", "b", {"Number=Sing": 40}, {"root": 40}, 40)
-    per_category, aggregate = score_separated(separate_categories(profile_a),
-                                              separate_categories(profile_b),
-                                              default_config())
+    per_category, aggregate = score_separated(profile_a, profile_b, default_config())
     assert per_category["Voice"] == 1.0
     assert per_category["Number"] == 0.0
     assert aggregate == 1.0
@@ -303,15 +321,13 @@ def test_score_separated_filtering_happens_after_separation():
     morph_b = {"Tense=Pres|VerbForm=Part": 5, "Tense=Past|VerbForm=Part": 95}
     profile_a = Profile("w", "a", morph_a, {"root": 100}, 100)
     profile_b = Profile("w", "b", morph_b, {"root": 100}, 100)
-    per_category, _ = score_separated(separate_categories(profile_a),
-                                      separate_categories(profile_b),
-                                      default_config())
+    per_category, _ = score_separated(profile_a, profile_b, default_config())
     assert per_category["Tense"] > 0.5
     assert per_category["VerbForm"] == 0.0
 
 
 def test_score_separated_no_categories():
-    empty = separate_categories(Profile("w", "a", {}, {"root": 3}, 3))
+    empty = Profile("w", "a", {}, {"root": 3}, 3)
     per_category, aggregate = score_separated(empty, empty, default_config())
     assert per_category == {}
     assert aggregate is None
@@ -321,29 +337,61 @@ def test_score_separated_no_categories():
 # combinations
 
 def test_combine_average():
-    assert combine_average(0.2, 0.4) == pytest.approx(0.3)
-    assert combine_average(0.0, 0.0) == 0.0
-    assert combine_average(1.0, 0.0) == 0.5
-    assert combine_average(None, 0.4) == 0.4
-    assert combine_average(0.2, None) == 0.2
-    with pytest.raises(DataError):
-        combine_average(None, None)
+    # the mean of the two distances ...
+    profile_a, profile_b = word_profiles()
+    score = score_word_pair(profile_a, profile_b, default_config(feature_kind="average"))
+    assert abs(score.d_morph - FLIPPED_NUMBER_DISTANCE) < 1e-12
+    assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
+    assert score.aggregate == (score.d_morph + score.d_synt) / 2.0
+    same = score_word_pair(profile_a, profile_a, default_config(feature_kind="average"))
+    assert (same.d_morph, same.d_synt, same.aggregate) == (0.0, 0.0, 0.0)
+    # ... or the syntactic one when no morphological category exists
+    profile_a = Profile("w", "a", {}, {"nsubj": 60, "obj": 40}, 100)
+    profile_b = Profile("w", "b", {}, {"nsubj": 100}, 100)
+    score = score_word_pair(profile_a, profile_b,
+                            default_config(feature_kind="average", separation=True))
+    assert score.d_morph is None and score.per_category == {}
+    assert score.aggregate == score.d_synt
+    assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
 
 
 def test_combine_append_max():
-    assert combine_append_max({"Tense": 0.1, "Number": 0.3}, 0.5) == 0.5
-    assert combine_append_max({"Tense": 0.6}, 0.2) == 0.6
-    assert combine_append_max({}, 0.4) == 0.4
-    with pytest.raises(DataError):
-        combine_append_max({}, None)
+    config = default_config(feature_kind="combination", separation=True)
+    # syntax wins: Number flips, and the one dependency relation changes
+    profile_a, profile_b = flipped_number_profiles()
+    new_role = Profile("w", "b", dict(profile_b.morph), {"obj": 100}, 100)
+    score = score_word_pair(profile_a, new_role, config)
+    assert score.d_synt == 1.0 and score.aggregate == 1.0
+    # a category wins over a stable syntax
+    score = score_word_pair(profile_a, profile_b, config)
+    assert score.d_synt == 0.0
+    assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
+    # no category: the syntactic distance alone
+    no_morph = Profile("w", "a", {}, {"nsubj": 60, "obj": 40}, 100)
+    score = score_word_pair(no_morph, Profile("w", "b", {}, {"nsubj": 100}, 100), config)
+    assert score.per_category == {}
+    assert score.aggregate == score.d_synt
+    assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
 
 
 def test_combination_dominates_morphology_max():
     rng = random.Random(45)
+    combination = default_config(feature_kind="combination", separation=True)
+    separated_max = default_config(separation=True)
+    feats = ["Number=Sing", "Number=Plur", "Case=Nom|Number=Sing", "Tense=Past", "_"]
     for _ in range(100):
-        per_category = {f"c{i}": rng.random() for i in range(rng.randrange(1, 5))}
-        d_synt = rng.random()
-        assert combine_append_max(per_category, d_synt) >= max(per_category.values())
+        profiles = []
+        for period in ("a", "b"):
+            profile = Profile("w", period)
+            for _ in range(rng.randrange(1, 40)):
+                profile.add_token(rng.choice(feats), rng.choice(["nsubj", "obj", "root"]))
+            profiles.append(profile)
+        score = score_word_pair(*profiles, combination)
+        morphology = score_word_pair(*profiles, separated_max)
+        assert score.per_category == morphology.per_category
+        assert score.aggregate == max([*score.per_category.values(), score.d_synt])
+        if score.per_category:
+            assert score.aggregate >= morphology.aggregate
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The benchmark's tracer (bench/spans.py) patches gramprof attributes
 by name and counts tokens, sentences and malformed lines on the items
 ``parse_conllu`` yields to ``extract_profiles``, and calls to the
-``separate_categories`` globals of ``scoring`` and ``analysis``. Running
-it here makes a rename in src, or an extraction or scoring path that
-bypasses those calls, fail the test suite instead of only a traced
-benchmark run."""
+``separate_categories``, ``filter_rare`` and ``cosine_distance`` globals
+of ``scoring`` and ``analysis``. Running it here makes a rename in src,
+or an extraction or scoring path that bypasses those calls, fail the
+test suite instead of only a traced benchmark run."""
 
 import sys
 from pathlib import Path
@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
 import spans  # noqa: E402
 from gramprof import analysis, cli, scoring  # noqa: E402
+from oracles import separate_categories_oracle  # noqa: E402
 
 
 def test_tracer_patches_and_restores_gramprof():
@@ -53,4 +54,14 @@ def test_traced_separated_score_separates_each_profile_once(tmp_path):
                          "-o", str(tmp_path / "scores.tsv")]) == 0
     words = len(truth["profiles"])
     assert words == 40
-    assert spans.pass_metrics(rec)["profiles.separate_categories.calls"] == 2 * words
+    metrics = spans.pass_metrics(rec)
+    assert metrics["profiles.separate_categories.calls"] == 2 * words
+    # every distance goes through one filter_rare and one cosine_distance:
+    # the syntactic one plus one per category seen in either period
+    distances = sum(
+        1 + len(set().union(*(separate_categories_oracle(record["morph"])[0]
+                              for record in periods.values())))
+        for periods in truth["profiles"].values())
+    assert distances > 3 * words
+    assert metrics["scoring.filter_rare.calls"] == distances
+    assert metrics["scoring.cosine_distance.calls"] == distances
