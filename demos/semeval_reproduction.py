@@ -60,7 +60,8 @@ def run_language(dataset_dir, config):
     spec = load_dataset_spec(dataset_dir / "dataset.yml")
     targets = load_targets(spec.targets_path)
     profiles = extract_profiles(dict(spec.periods), targets)
-    scores = score_period_pair(profiles, spec.pairs[0], config)
+    a, b = spec.period_labels  # every shared-task dataset has two periods
+    scores = score_period_pair(profiles, (a, b), config)
     gold = load_gold(spec.gold_path)
     return {s.word_id: s.aggregate for s in scores}, gold
 

@@ -16,7 +16,7 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
@@ -42,18 +42,14 @@ DEFAULT_RATIO = 0.43
 
 @dataclass
 class DatasetSpec:
-    """A dataset description: corpora per period, the period pairs to
-    compare, the target list and optional gold data.
-
-    When no pairs are declared, consecutive periods are compared, plus
-    (first, last) when there are three or more periods.
-    """
+    """A dataset description: corpora per period, the target list and
+    optional gold data. Which two periods are compared is chosen when
+    scoring (``_resolve_pair``), not here."""
 
     name: str
     periods: list[tuple[str, list[str]]]
     targets_path: str
     gold_path: Optional[str] = None
-    pairs: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.periods) < 2:
@@ -61,15 +57,6 @@ class DatasetSpec:
         labels = [label for label, _ in self.periods]
         if len(set(labels)) != len(labels):
             raise ConfigError("duplicate period labels")
-        if not self.pairs:
-            self.pairs = list(zip(labels, labels[1:]))
-            if len(labels) >= 3:
-                self.pairs.append((labels[0], labels[-1]))
-        for a, b in self.pairs:
-            if a not in labels or b not in labels:
-                raise ConfigError(f"pair ({a!r}, {b!r}) references an undeclared period")
-            if a == b:
-                raise ConfigError(f"pair ({a!r}, {b!r}) must name two different periods")
 
     @property
     def period_labels(self) -> list[str]:
@@ -89,6 +76,10 @@ def load_dataset_spec(path) -> DatasetSpec:
         raise ConfigError(f"config {path} is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a mapping at the top level")
+    if "pairs" in raw:
+        logger.warning("config %s: the 'pairs' key is not read; score and analyze "
+                       "compare the store's two periods or the two that --pair names",
+                       path)
     base = path.parent
 
     def resolve(p) -> str:
@@ -102,19 +93,17 @@ def load_dataset_spec(path) -> DatasetSpec:
                 raise ConfigError(f"config {path}: period {entry.get('label')!r} "
                                   f"needs a non-empty 'paths' list")
             periods.append((str(entry["label"]), [resolve(p) for p in paths]))
-        pairs = [tuple(str(x) for x in pair) for pair in raw.get("pairs") or []]
-        for pair in pairs:
-            if len(pair) != 2:
-                raise ConfigError(f"config {path}: pairs must have exactly 2 labels")
         spec = DatasetSpec(
             name=str(raw.get("name", path.stem)),
             periods=periods,
             targets_path=resolve(raw["targets"]),
             gold_path=resolve(raw["gold"]) if raw.get("gold") else None,
-            pairs=pairs,
         )
     except KeyError as exc:
         raise ConfigError(f"config {path}: missing required key {exc}")
+    except TypeError as exc:
+        raise ConfigError(f"config {path}: 'periods' must be a list of entries "
+                          f"with 'label' and 'paths' ({exc})")
     for _, paths in spec.periods:
         for p in paths:
             if not Path(p).exists():
@@ -175,6 +164,8 @@ def _load_store(path) -> ProfileStore:
 
 
 def _resolve_pair(store: ProfileStore, pair: Optional[list[str]]) -> tuple[str, str]:
+    """The two periods to compare: ``--pair`` or the store's only two.
+    The one place a period pair is chosen and checked."""
     if pair:
         a, b = pair
     elif len(store.periods) == 2:
@@ -260,10 +251,12 @@ def cmd_extract(args) -> int:
     )
     with _output(args.output) as stream:
         store.save(stream)
+    # The store may be on stdout; the report must not follow it there.
+    report = sys.stderr if args.output == "-" else sys.stdout
     for word_id in store.word_ids:
         counts = "  ".join(f"{period}={store.get(word_id, period).total}"
                            for period in store.periods)
-        print(f"{word_id}: {counts}")
+        print(f"{word_id}: {counts}", file=report)
         if all(store.get(word_id, period).total == 0 for period in store.periods):
             logger.warning("target %r matched nothing in any period", word_id)
     logger.info("wrote %d profiles to %s", len(profiles), args.output)
@@ -271,10 +264,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    store = _load_store(args.store)
-    pair = _resolve_pair(store, args.pair)
     config = _method_config(args, feature_kind=args.features,
                             separation=args.separate, aggregation=args.aggregate)
+    store = _load_store(args.store)
+    pair = _resolve_pair(store, args.pair)
     scores = score_period_pair(store.profiles, pair, config)
     by_word = {s.word_id: s for s in scores}
     ranking = rank_words({s.word_id: s.aggregate for s in scores})
@@ -298,13 +291,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    scores = _read_score_tsv(args.ranking)
-    ranking = rank_words(scores)
+    if not args.changepoint and not 0.0 <= args.ratio <= 1.0:
+        raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
+    ranking = rank_words(_read_score_tsv(args.ranking))
     if args.changepoint:
         labels = classify_changepoint(ranking)
     else:
-        if not 0.0 <= args.ratio <= 1.0:
-            raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
         labels = classify_topn(ranking, args.ratio)
     with _output(args.output) as stream:
         for word_id, _ in ranking:
@@ -338,10 +330,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    config = _method_config(args)
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     gold_records = load_gold(args.gold)
-    matrix = build_feature_matrix(store.profiles, pair, _method_config(args))
+    matrix = build_feature_matrix(store.profiles, pair, config)
     if args.subset_suffix:
         keep = [w for w in matrix.word_ids if w.endswith(args.subset_suffix)]
         if not keep:
@@ -416,10 +409,9 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    scores = _read_score_tsv(args.ranking)
     if args.top < 1:
         raise ConfigError("--top must be at least 1")
-    for word_id, score in rank_words(scores)[:args.top]:
+    for word_id, score in rank_words(_read_score_tsv(args.ranking))[:args.top]:
         print(f"{word_id}\t{score:.6f}")
     return 0
 

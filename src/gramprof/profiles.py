@@ -202,6 +202,9 @@ class ProfileStore:
             raise DataError(f"profile store header: options must be an object, "
                             f"got {options!r}")
         known_periods = set(periods)
+        if len(known_periods) != len(periods):
+            label = next(p for i, p in enumerate(periods) if p in periods[:i])
+            raise DataError(f"profile store header lists period {label!r} more than once")
         profiles: dict[tuple[str, str], Profile] = {}
         for line_number, line in enumerate(stream, start=2):
             if not line.strip():

@@ -69,7 +69,6 @@ class MethodConfig:
 @dataclass
 class ChangeScore:
     word_id: str
-    period_pair: tuple[str, str]
     aggregate: float
     method: str
     d_morph: Optional[float] = None
@@ -219,7 +218,6 @@ def score_word_pair(profile_a: Profile, profile_b: Profile,
 
     return ChangeScore(
         word_id=profile_a.word_id,
-        period_pair=(profile_a.period, profile_b.period),
         aggregate=aggregate,
         method=config.describe(),
         d_morph=d_morph,

@@ -257,8 +257,8 @@ def test_criterion_7_published_spearman_reproduction():
         spec = load_dataset_spec(dataset_dir / "dataset.yml")
         targets = load_targets(spec.targets_path)
         profiles = extract_profiles(dict(spec.periods), targets)
-        pair = spec.pairs[0]
-        scores = score_period_pair(profiles, pair, config)
+        a, b = spec.period_labels
+        scores = score_period_pair(profiles, (a, b), config)
         gold = graded_gold(load_gold(spec.gold_path))
         rho = spearman({s.word_id: s.aggregate for s in scores}, gold)
         results[language] = rho

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import gramprof
-from gramprof.cli import DatasetSpec, main
+from gramprof.cli import main
 from gramprof.decision import classify_changepoint, rank_words
-from gramprof.errors import ConfigError
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import MethodConfig, score_period_pair
 
@@ -88,6 +87,18 @@ def test_extract_reports_match_counts(dataset, capsys):
     out = capsys.readouterr().out
     assert "lass: old=3  new=3" in out
     assert "stab_nn: old=1  new=1" in out
+
+
+def test_extract_to_stdout_writes_only_the_store(dataset, capsys):
+    stored = extract(dataset)
+    capsys.readouterr()
+    assert run(["extract", "-c", dataset / "dataset.yml", "-o", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stored.read_text(encoding="utf-8")
+    assert "lass: old=3  new=3" in captured.err
+    piped = dataset / "piped.jsonl"
+    piped.write_text(captured.out, encoding="utf-8")
+    assert run(["score", piped]) == 0
 
 
 def test_extract_store_cardinality(dataset):
@@ -312,33 +323,33 @@ def test_full_pipeline_deterministic(dataset):
     assert artifacts[0] == artifacts[1]
 
 
-def test_dataset_spec_default_pairs():
-    spec = DatasetSpec(
-        name="three-bins",
-        periods=[("p1", ["a.conllu"]), ("p2", ["b.conllu"]), ("p3", ["c.conllu"])],
-        targets_path="targets.tsv",
-    )
-    assert spec.pairs == [("p1", "p2"), ("p2", "p3"), ("p1", "p3")]
-    two = DatasetSpec(name="two", periods=[("p1", ["a"]), ("p2", ["b"])],
-                      targets_path="t")
-    assert two.pairs == [("p1", "p2")]
-
-
-def test_dataset_spec_rejects_unknown_pair_label():
-    with pytest.raises(ConfigError):
-        DatasetSpec(name="bad", periods=[("p1", ["a"]), ("p2", ["b"])],
-                    targets_path="t", pairs=[("p1", "p9")])
-
-
-def test_dataset_spec_rejects_pair_of_one_period(dataset, capsys):
-    with pytest.raises(ConfigError, match="two different periods"):
-        DatasetSpec(name="bad", periods=[("p1", ["a"]), ("p2", ["b"])],
-                    targets_path="t", pairs=[("p1", "p2"), ("p1", "p1")])
+def test_dataset_pairs_key_warns_and_changes_nothing(dataset, caplog):
+    plain = extract(dataset, "plain.jsonl")
     config = dataset / "dataset.yml"
     config.write_text(config.read_text(encoding="utf-8") + "pairs:\n  - [old, old]\n",
                       encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        with_pairs = extract(dataset, "pairs.jsonl")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "'pairs' key is not read" in warnings[0] and "--pair" in warnings[0]
+    assert with_pairs.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("periods", [
+    "periods: abc\n",
+    "periods: null\n",
+    "periods: [old.conllu, new.conllu]\n",
+    "periods:\n  old: [old.conllu]\n  new: [new.conllu]\n",
+], ids=["string", "null", "list-of-paths", "mapping"])
+def test_malformed_dataset_periods_exit_2(dataset, capsys, periods):
+    config = dataset / "bad.yml"
+    config.write_text("targets: targets.tsv\n" + periods, encoding="utf-8")
     assert run(["extract", "-c", config, "-o", dataset / "store.jsonl"]) == 2
-    assert "two different periods" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and "bad.yml" in err
+    assert "'label' and 'paths'" in err
     assert not (dataset / "store.jsonl").exists()
 
 
@@ -444,6 +455,30 @@ def test_store_count_that_is_not_an_integer_exits_1(dataset, capsys, command,
     capsys.readouterr()
     assert run([command[0], store, *command[1:]]) == 1
     assert f"profile store line {number}: bad record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{bad}", "--ratio", "2"],
+    ["rank", "{bad}", "--top", "0"],
+    ["score", "{bad}", "--filter", "2"],
+], ids=lambda argv: argv[0])
+def test_usage_error_wins_over_bad_input(dataset, capsys, argv):
+    bad = dataset / "bad.tsv"
+    bad.write_text("lass\tnot-a-number\n", encoding="utf-8")
+    assert run([arg.format(bad=bad) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_store_header_repeating_a_period_exits_1(dataset, capsys):
+    store = extract(dataset)
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["periods"] = ["old", "old"]
+    store.write_text(json.dumps(header) + "\n" + "".join(
+        line for line in lines[1:] if '"period": "new"' not in line), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["score", store]) == 1
+    assert "period 'old' more than once" in capsys.readouterr().err
 
 
 def test_store_record_with_unknown_period_exits_1(dataset, capsys):

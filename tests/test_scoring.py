@@ -425,7 +425,6 @@ def test_score_word_pair_morphology():
     score = score_word_pair(profile_a, profile_b, default_config())
     assert score.d_synt is None
     assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
-    assert score.period_pair == ("a", "b")
 
 
 def test_score_word_pair_syntax():
