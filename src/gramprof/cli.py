@@ -331,6 +331,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _method_config(args)
+    if args.report == "logreg" and not args.l2 > 0:  # also rejects NaN
+        raise ConfigError(f"--l2: the inverse regularization strength must be positive, "
+                          f"got {args.l2}")
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     gold_records = load_gold(args.gold)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .conllu import TargetIndex, TargetSpec, open_corpus, parse_conllu, parse_feats, \
     strip_deprel_subtype
@@ -52,14 +52,14 @@ class Profile:
             )
 
 
-# FEATS string -> its (category, value) pairs, for strings that split
-# without dropping an entry. A store repeats few distinct FEATS strings
-# across its profiles (752 distinct in 144,054 entries on the benchmark's
-# store), so each is split once rather than once per profile. A malformed
-# string is never stored: every occurrence goes through parse_feats again
-# and logs its own warning. The memo lives as long as the process and is
-# emptied when it reaches _FEATS_MEMO_LIMIT entries, which bounds it.
-_feats_memo: dict[str, list[tuple[str, str]]] = {}
+# FEATS string -> its "K=V" items, for strings that split without
+# dropping an entry. A store repeats few distinct FEATS strings across its
+# profiles (752 distinct in 144,054 entries on the benchmark's store), so
+# each is split once rather than once per profile. A malformed string is
+# never stored: every occurrence goes through parse_feats again and logs
+# its own warning. The memo lives as long as the process and is emptied
+# when it reaches _FEATS_MEMO_LIMIT entries, which bounds it.
+_feats_memo: dict[str, list[str]] = {}
 _FEATS_MEMO_LIMIT = 1 << 16
 
 
@@ -71,19 +71,30 @@ def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
     (Ki, Vi) cell, so per-category sums are preserved. Malformed FEATS
     entries (no ``=``) are skipped with a warning.
     """
-    categories: dict[str, dict[str, int]] = {}
     memo = _feats_memo
+    item_counts: dict[str, int] = {}
+    get = item_counts.get
     for feats, count in profile.morph.items():
-        pairs = memo.get(feats)
-        if pairs is None:
+        items = memo.get(feats)
+        if items is None:
             pairs = parse_feats(feats)
+            items = [key + "=" + value for key, value in pairs]
             if len(pairs) == feats.count("|") + 1:  # no entry dropped
                 if len(memo) >= _FEATS_MEMO_LIMIT:
                     memo.clear()
-                memo[feats] = pairs
-        for key, value in pairs:
-            values = categories.setdefault(key, {})
-            values[value] = values.get(value, 0) + count
+                memo[feats] = items
+        for item in items:
+            item_counts[item] = get(item, 0) + count
+    # Each item is a distinct (category, value) cell; its category ends
+    # at the first "=", as in parse_feats.
+    categories: dict[str, dict[str, int]] = {}
+    for item, count in item_counts.items():
+        key, _, value = item.partition("=")
+        values = categories.get(key)
+        if values is None:
+            categories[key] = {value: count}
+        else:
+            values[value] = count
     return categories
 
 
@@ -91,7 +102,7 @@ def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]
                   ) -> tuple[list[int], list[int]]:
     """Align two count tables on the sorted union of their keys; absent
     keys become 0."""
-    feature_names = sorted(set(counts_a) | set(counts_b))
+    feature_names = sorted(counts_a.keys() | counts_b.keys())
     return ([counts_a.get(name, 0) for name in feature_names],
             [counts_b.get(name, 0) for name in feature_names])
 
@@ -206,14 +217,11 @@ class ProfileStore:
             label = next(p for i, p in enumerate(periods) if p in periods[:i])
             raise DataError(f"profile store header lists period {label!r} more than once")
         profiles: dict[tuple[str, str], Profile] = {}
-        for line_number, line in enumerate(stream, start=2):
-            if not line.strip():
-                continue
+        for line_number, record in _decoded_records(stream):
             try:
-                record = json.loads(line)
                 word_id, period = record["word_id"], record["period"]
                 morph, synt, total = record["morph"], record["synt"], record["total"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise DataError(f"profile store line {line_number}: bad record: {exc}")
             # The decoded dicts become the profile's count tables as they
             # are, so their types are checked here: a JSON true, 2.7 or "1"
@@ -241,3 +249,46 @@ class ProfileStore:
                     raise DataError(f"profile store: missing profile for word {word_id!r} "
                                     f"in period {period!r}")
         return cls(periods=periods, profiles=profiles, options=options)
+
+
+# Record lines are decoded this many at a time, by one json.loads over the
+# batch joined into an array. The decoder shares object keys within one
+# call, so a FEATS string or DEPREL label repeated across a batch's
+# records becomes one string object.
+_DECODE_BATCH_LINES = 512
+
+
+def _decoded_records(stream: TextIO) -> Iterator[tuple[int, object]]:
+    """(line number, decoded value) of each non-blank line after the
+    store header, in file order."""
+    batch: list[tuple[int, str]] = []
+    for line_number, line in enumerate(stream, start=2):
+        if line.strip():
+            batch.append((line_number, line))
+            if len(batch) == _DECODE_BATCH_LINES:
+                yield from _decode_batch(batch)
+                batch = []
+    yield from _decode_batch(batch)
+
+
+def _decode_batch(batch: list[tuple[int, str]]) -> Iterator[tuple[int, object]]:
+    """Decode a batch of lines at once. A batch that does not decode to
+    exactly one value per line is read again one line at a time, so the
+    first line that fails to decode names itself, and the values of the
+    lines before it are yielded (and checked by the caller) first."""
+    # Besides JSONDecodeError (a ValueError), json.loads raises ValueError
+    # on an integer of more than sys.get_int_max_str_digits() digits and
+    # RecursionError on too deep a nesting.
+    try:
+        values = json.loads("[" + ",".join([line for _, line in batch]) + "]")
+    except (ValueError, RecursionError):
+        values = None
+    if values is not None and len(values) == len(batch):
+        yield from zip([line_number for line_number, _ in batch], values)
+        return
+    for line_number, line in batch:
+        try:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"profile store line {line_number}: bad record: {exc}")
+        yield line_number, value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -89,13 +90,13 @@ def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
         raise ValueError(f"vector length mismatch: {len(v_a)} vs {len(v_b)}")
     if list(v_a) == list(v_b):
         return 0.0  # exact, not subject to sqrt round-off
-    squared_a = sum(x * x for x in v_a)
-    squared_b = sum(x * x for x in v_b)
+    squared_a = sum(map(operator.mul, v_a, v_a))
+    squared_b = sum(map(operator.mul, v_b, v_b))
     if squared_a == 0 and squared_b == 0:
         return 0.0
     if squared_a == 0 or squared_b == 0:
         return zero_profile_distance
-    dot = sum(x * y for x, y in zip(v_a, v_b))
+    dot = sum(map(operator.mul, v_a, v_b))
     similarity = float(dot) / (math.sqrt(squared_a) * math.sqrt(squared_b))
     return min(1.0, max(0.0, 1.0 - similarity))
 
@@ -126,22 +127,15 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
     if total_a + total_b == 0:
         return dict(counts_a), dict(counts_b)
     num, den = _decimal_ratio(threshold)
-    keys = set(counts_a) | set(counts_b)
     if per_period:
         cutoff_a, cutoff_b = num * total_a, num * total_b
-        filtered_a, filtered_b = {}, {}
-        for key in keys:
-            joint = (counts_a.get(key, 0) + counts_b.get(key, 0)) * den
-            if key in counts_a and not joint < cutoff_a:
-                filtered_a[key] = counts_a[key]
-            if key in counts_b and not joint < cutoff_b:
-                filtered_b[key] = counts_b[key]
-        return filtered_a, filtered_b
-    cutoff = num * (total_a + total_b)
-    kept = {key for key in keys
-            if not (counts_a.get(key, 0) + counts_b.get(key, 0)) * den < cutoff}
-    return ({k: v for k, v in counts_a.items() if k in kept},
-            {k: v for k, v in counts_b.items() if k in kept})
+    else:
+        cutoff_a = cutoff_b = num * (total_a + total_b)
+    get_a, get_b = counts_a.get, counts_b.get
+    return ({key: count for key, count in counts_a.items()
+             if not (count + get_b(key, 0)) * den < cutoff_a},
+            {key: count for key, count in counts_b.items()
+             if not (count + get_a(key, 0)) * den < cutoff_b})
 
 
 def score_basic(counts_a: Mapping[str, int], counts_b: Mapping[str, int],

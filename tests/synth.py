@@ -1,4 +1,5 @@
-"""Synthetic diachronic corpus pairs with a planted change signal.
+"""Synthetic test data: diachronic corpus pairs with a planted change
+signal, and random profile stores.
 
 Changed words flip their grammatical number distribution between the
 two periods; stable words keep per-word distributions fixed and only
@@ -11,6 +12,7 @@ signal.
 import numpy as np
 
 from gramprof.conllu import TargetSpec
+from gramprof.profiles import Profile, ProfileStore
 
 NUMBER_VALUES = ["Sing", "Plur"]
 CASE_VALUES = ["Nom", "Acc", "Dat"]
@@ -71,3 +73,52 @@ def synthetic_corpus_pair(rng, n_changed=5, n_stable=5, occurrences=1000):
                                            case_p, definite_p, deprel_p))
         text_after.append("\n")
     return "".join(text_before), "".join(text_after), targets, changed_ids
+
+
+# FEATS categories and values of random_store; one value holds "=".
+STORE_CATEGORIES = {
+    "Case": ["Nom", "Acc", "Dat", "Gen"],
+    "Gender": ["Fem", "Masc", "Neut"],
+    "Number": ["Sing", "Plur"],
+    "Tense": ["Past", "Pres"],
+    "Foo": ["a=b", "c"],
+}
+# FEATS strings that random_store mixes in: a value holding "=", an empty
+# value, a category repeated within one string, "_", and malformed entries
+# (no "=", an empty key, an empty item)
+ODD_FEATS = ["Foo=a=b", "Polite=", "Case=Nom|Case=Acc", "Case=Acc|Case=Acc", "_",
+             "Number=Sing|Oops", "=x|Case=Dat", "Gender=Fem||Case=Nom", "Broken"]
+STORE_DEPRELS = ["nsubj", "obj", "obl", "nmod", "root"]
+
+
+def random_feats(rng):
+    """One FEATS string: mostly 1-3 categories in sorted order, sometimes
+    one of ODD_FEATS."""
+    if rng.random() < 0.1:
+        return rng.choice(ODD_FEATS)
+    keys = sorted(rng.sample(sorted(STORE_CATEGORIES), rng.randrange(1, 4)))
+    return "|".join(f"{key}={rng.choice(STORE_CATEGORIES[key])}" for key in keys)
+
+
+def random_store(rng, words, periods):
+    """A valid ProfileStore of ``words`` words, each with a profile in
+    every one of the ``periods`` labels, drawn with ``rng`` (a
+    ``random.Random``). About one profile in ten is empty; the others
+    hold up to 7 FEATS strings and 1-3 dependency relations."""
+    profiles = {}
+    for i in range(words):
+        word_id = f"w{i:04d}"
+        for period in periods:
+            morph, synt, total = {}, {}, 0
+            if rng.random() >= 0.1:
+                for _ in range(rng.randrange(0, 8)):
+                    feats = random_feats(rng)
+                    morph[feats] = morph.get(feats, 0) + rng.randrange(1, 30)
+                total = sum(morph.values()) + rng.randrange(1, 5)
+                deprels = rng.sample(STORE_DEPRELS, min(total, rng.randrange(1, 4)))
+                cuts = sorted(rng.sample(range(1, total), len(deprels) - 1))
+                synt = {deprel: high - low for deprel, low, high
+                        in zip(deprels, [0, *cuts], [*cuts, total])}
+            profiles[(word_id, period)] = Profile(word_id, period, morph, synt, total)
+    return ProfileStore(periods=list(periods), profiles=profiles,
+                        options={"dataset": "random"})

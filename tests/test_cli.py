@@ -560,6 +560,18 @@ def test_analyze_l2_must_be_positive(demo, capsys, value):
     assert "inverse regularization strength must be positive" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_analyze_l2_is_checked_before_the_store_is_read(tmp_path, capsys, value):
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text("not json\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["analyze", corrupt, DEMO / "gold.tsv", "--report", "logreg",
+                "--l2", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--l2: the inverse regularization strength must be positive" in captured.err
+
+
 # Imports gramprof in a fresh interpreter, runs the CLI command given as
 # arguments (if any) and prints the numpy and scipy modules then loaded.
 MODULES_PROBE = """\

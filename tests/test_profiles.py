@@ -1,13 +1,19 @@
 import io
+import json
 import random
 
 import pytest
 
+from gramprof import profiles as profiles_module
+from gramprof.cli import main
 from gramprof.conllu import TargetSpec
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
                                extract_profiles, separate_categories)
 from oracles import separate_categories_oracle
+from synth import random_store
+
+BATCH = profiles_module._DECODE_BATCH_LINES
 
 # combined-FEATS counts of an English verb in one period; the per-category
 # splits below are the hand-checked reference
@@ -267,3 +273,166 @@ def test_profile_validate():
         Profile("w", "t", {"Number=Sing": 3}, {"nsubj": 2}, 2).validate()
     with pytest.raises(DataError):
         Profile("w", "t", {}, {"nsubj": 0}, 0).validate()
+
+
+# ----------------------------------------------------------------------
+# loading in batches
+
+
+def store_lines(store):
+    """The saved store as a list of lines, header first."""
+    buffer = io.StringIO()
+    store.save(buffer)
+    return buffer.getvalue().splitlines(keepends=True)
+
+
+def load_line_by_line(text):
+    """Reference reader: one json.loads per non-blank line after the
+    header. Returns (periods, options, profiles)."""
+    lines = text.splitlines(keepends=True)
+    header = json.loads(lines[0])
+    profiles = {}
+    for line in lines[1:]:
+        if line.strip():
+            r = json.loads(line)
+            profiles[(r["word_id"], r["period"])] = Profile(
+                r["word_id"], r["period"], r["morph"], r["synt"], r["total"])
+    return header["periods"], header["options"], profiles
+
+
+def bad_record_message(line_number, line):
+    """The error for a line that does not decode on its own."""
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(line)
+    return f"profile store line {line_number}: bad record: {err.value}"
+
+
+def test_batched_load_equals_line_by_line_reference():
+    rng = random.Random(5)
+    lines = store_lines(random_store(rng, 3 * BATCH // 2 + 40, ["c1", "c2"]))
+    assert len(lines) - 1 > 3 * BATCH
+    text = lines[0]
+    for i, line in enumerate(lines[1:]):
+        if i % BATCH == 0 or rng.random() < 0.02:
+            text += rng.choice(["\n", "  \n", "\t\n"])
+        text += line
+    loaded = ProfileStore.load(io.StringIO(text))
+    assert (loaded.periods, loaded.options, loaded.profiles) == load_line_by_line(text)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda line: line[:25] + "\n",
+    lambda line: line.replace('"total": ', '"total": "').replace(', "word_id"',
+                                                                '", "word_id"'),
+], ids=["json", "type"])
+def test_bad_record_in_second_batch_names_its_line(corrupt):
+    lines = store_lines(random_store(random.Random(6), BATCH, ["c1", "c2"]))
+    lines.insert(BATCH // 2, "\n")
+    bad = BATCH + BATCH // 3  # 0-based index: a record line of the second batch
+    lines[bad] = corrupt(lines[bad])
+    with pytest.raises(DataError, match=f"^profile store line {bad + 1}: bad record: "):
+        ProfileStore.load(io.StringIO("".join(lines)))
+
+
+def test_first_bad_line_of_a_batch_wins_over_a_later_json_error():
+    lines = store_lines(random_store(random.Random(7), 20, ["c1", "c2"]))
+    record = json.loads(lines[2])
+    record["total"] = str(record["total"])
+    lines[2] = json.dumps(record) + "\n"  # line 3: a count that is not an integer
+    lines[8] = lines[8][:30] + "\n"  # line 9: not JSON
+    with pytest.raises(DataError, match="^profile store line 3: bad record: word_id and "
+                                        "period must be strings"):
+        ProfileStore.load(io.StringIO("".join(lines)))
+
+
+def truncate_last_line(lines):
+    return lines[:-1] + [lines[-1][:len(lines[-1]) // 2]], len(lines)
+
+
+def split_one_record(lines, at=BATCH + 10):
+    line = lines[at]
+    cut = line.index(', "period"') + 1
+    return lines[:at] + [line[:cut] + "\n", line[cut:]] + lines[at + 1:], at + 1
+
+
+def join_two_records(lines, at=BATCH + 10, separator=""):
+    joined = lines[at].rstrip("\n") + separator + lines[at + 1]
+    return lines[:at] + [joined] + lines[at + 2:], at + 1
+
+
+def join_two_records_with_a_comma(lines):
+    # the batch still decodes, to one value more than it has lines
+    return join_two_records(lines, separator=", ")
+
+
+def pretty_print_records(lines):
+    records = "".join(json.dumps(json.loads(line), indent=2, sort_keys=True) + "\n"
+                      for line in lines[1:])
+    return [lines[0]] + records.splitlines(keepends=True), 2
+
+
+@pytest.mark.parametrize("corrupt", [truncate_last_line, split_one_record,
+                                     join_two_records, join_two_records_with_a_comma,
+                                     pretty_print_records],
+                         ids=["truncated-last-line", "record-split-over-two-lines",
+                              "two-records-on-one-line", "two-records-and-a-comma",
+                              "pretty-printed"])
+def test_corrupt_store_layouts_exit_1_naming_the_line(tmp_path, capsys, corrupt):
+    lines, line_number = corrupt(store_lines(random_store(random.Random(8), BATCH,
+                                                          ["c1", "c2"])))
+    path = tmp_path / "store.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad_record_message(line_number, lines[line_number - 1]) in captured.err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1" + "0" * 5000, "Exceeds the limit"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["5001-digit-count", "deep-nesting"])
+def test_value_json_cannot_build_names_its_line(tmp_path, capsys, value, message):
+    lines = store_lines(random_store(random.Random(11), 20, ["c1", "c2"]))
+    lines[5] = lines[5].replace('"total": ', '"total": ' + value + ', "was": ', 1)
+    path = tmp_path / "store.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"profile store line 6: bad record: {message}" in captured.err
+
+
+def test_loaded_tables_share_one_object_per_distinct_key():
+    store = random_store(random.Random(9), 200, ["c1", "c2"])
+    assert len(store.profiles) <= BATCH  # one decode batch
+    loaded = ProfileStore.load(io.StringIO("".join(store_lines(store))))
+    for table in ("morph", "synt"):
+        keys = [key for p in loaded.profiles.values() for key in getattr(p, table)]
+        assert len({id(key) for key in keys}) == len(set(keys))
+
+
+def test_separation_matches_oracle_while_memo_clears(monkeypatch, caplog):
+    limit = 2
+    monkeypatch.setattr(profiles_module, "_FEATS_MEMO_LIMIT", limit)
+    monkeypatch.setattr(profiles_module, "_feats_memo", {})
+    store = random_store(random.Random(10), 80, ["c1", "c2"])
+    all_feats = {feats for p in store.profiles.values() for feats in p.morph}
+    assert {"Foo=a=b", "Case=Nom|Case=Acc", "Case=Acc|Case=Acc", "Number=Sing|Oops"} \
+        <= all_feats
+    clears, previous = 0, 0
+    for _ in range(2):
+        for profile in store.profiles.values():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="gramprof.conllu"):
+                separated = separate_categories(profile)
+            categories, dropped = separate_categories_oracle(profile.morph)
+            assert separated == categories
+            assert len(caplog.records) == dropped
+            size = len(profiles_module._feats_memo)
+            assert size <= limit
+            clears += size < previous
+            previous = size
+    assert clears > 10

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -104,6 +105,36 @@ def test_cosine_scale_invariance():
         scaled = [scale * v for v in v_a]
         assert abs(cosine_distance(v_a, v_b)
                    - cosine_distance(scaled, v_b)) < 1e-12
+
+
+def cosine_distance_generator_form(v_a, v_b, zero_profile_distance=1.0):
+    """cosine_distance's formula with each sum written as a generator
+    expression over the elements, in the same order."""
+    if list(v_a) == list(v_b):
+        return 0.0
+    squared_a = sum(x * x for x in v_a)
+    squared_b = sum(x * x for x in v_b)
+    if squared_a == 0 and squared_b == 0:
+        return 0.0
+    if squared_a == 0 or squared_b == 0:
+        return zero_profile_distance
+    dot = sum(x * y for x, y in zip(v_a, v_b))
+    similarity = float(dot) / (math.sqrt(squared_a) * math.sqrt(squared_b))
+    return min(1.0, max(0.0, 1.0 - similarity))
+
+
+def test_cosine_float_and_mixed_sequences_match_generator_form_bit_for_bit():
+    rng = random.Random(44)
+    for _ in range(300):
+        n = rng.randrange(1, 15)
+        v_a = [rng.uniform(0.0, 100.0) for _ in range(n)]
+        v_b = [rng.choice([0.0, rng.uniform(0.0, 100.0), 3.0 * x]) for x in v_a]
+        for a, b in ((v_a, v_b), (tuple(v_a), v_b), (v_a, tuple(v_b)),
+                     (tuple(v_a), list(v_a))):
+            distance = cosine_distance(a, b)
+            assert distance.hex() == cosine_distance_generator_form(a, b).hex()
+            assert abs(distance - cosine_distance_oracle(a, b)) <= 1e-12
+    assert cosine_distance((0.5, 2.5), [0.5, 2.5]) == 0.0
 
 
 # ----------------------------------------------------------------------
