@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .evaluation import accuracy, average_ranks, macro_f1, rank_correlation
+from .evaluation import accuracy, average_ranks, check_same_words, macro_f1, rank_correlation
 from .profiles import Profile, separate_categories
 from .scoring import MethodConfig, score_period_pair
 # bench/spans.py patches these two names on this module by attribute, so
@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 SYNTAX_COLUMN = "syntax"
+LOGREG_TOLERANCE = 1e-8
+LOGREG_MAX_ITERATIONS = 100000
 
 
 @dataclass
@@ -172,9 +174,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
-                 l2_inverse_strength: float = 1.0,
-                 tolerance: float = 1e-8, max_iterations: int = 100000
-                 ) -> LogregResult:
+                 l2_inverse_strength: float = 1.0) -> LogregResult:
     """Fit binary logistic regression by full-batch gradient descent.
 
     The loss is the mean negative log-likelihood plus an L2 penalty of
@@ -182,15 +182,13 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     so duplicating every row leaves the optimum unchanged. Gradient
     descent uses a fixed step of 1/L with L an upper bound on the loss
     curvature, and stops when the gradient max-norm drops below
-    ``tolerance``.
+    LOGREG_TOLERANCE or after LOGREG_MAX_ITERATIONS steps.
     """
     import numpy as np
     if not l2_inverse_strength > 0:  # also rejects NaN
         raise ConfigError(f"the inverse regularization strength must be positive, "
                           f"got {l2_inverse_strength}")
-    if set(matrix.word_ids) != set(labels):
-        missing = sorted(set(matrix.word_ids) ^ set(labels))
-        raise DataError(f"feature matrix and label word sets differ: {missing}")
+    check_same_words(matrix.word_ids, labels, "feature matrix and label")
     y = np.array([labels[w] for w in matrix.word_ids], dtype=np.float64)
     if len(np.unique(y)) < 2:
         raise DataError("labels contain a single class; nothing to separate")
@@ -206,19 +204,19 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     b = 0.0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, LOGREG_MAX_ITERATIONS + 1):
         p = _sigmoid(X @ w + b)
         residual = p - y
         grad_w = X.T @ residual / n + lam * w
         grad_b = residual.mean()
-        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < tolerance:
+        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < LOGREG_TOLERANCE:
             converged = True
             break
         w -= step * grad_w
         b -= step * grad_b
     if not converged:
-        logger.warning("logistic regression hit the %d-iteration cap "
-                       "(gradient max-norm still above %g)", max_iterations, tolerance)
+        logger.warning("logistic regression hit the %d-iteration cap (gradient "
+                       "max-norm still above %g)", LOGREG_MAX_ITERATIONS, LOGREG_TOLERANCE)
 
     predicted = _sigmoid(X @ w + b) >= 0.5
     pred_labels = {word: int(predicted[i]) for i, word in enumerate(matrix.word_ids)}
@@ -299,9 +297,7 @@ def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float
     dropped from that category's test instead of contributing a 0 cell.
     """
     import numpy as np
-    if set(matrix.word_ids) != set(gold_graded):
-        missing = sorted(set(matrix.word_ids) ^ set(gold_graded))
-        raise DataError(f"feature matrix and gold word sets differ: {missing}")
+    check_same_words(matrix.word_ids, gold_graded, "feature matrix and gold")
     if len(matrix.word_ids) < 5:
         raise DataError("category correlations need at least 5 words")
     gold = np.array([gold_graded[w] for w in matrix.word_ids], dtype=np.float64)

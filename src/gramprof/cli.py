@@ -27,7 +27,7 @@ from .analysis import (build_feature_matrix, category_correlations, standardize,
                        timeline, train_logreg)
 from .conllu import load_targets
 from .decision import average_binary, classify_changepoint, classify_topn, rank_words
-from .errors import ConfigError, DataError, GramprofError
+from .errors import ConfigError, DataError, GramprofError, reading
 from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1, \
     per_class_f1, spearman
 from .profiles import ProfileStore, extract_profiles
@@ -67,13 +67,11 @@ def load_dataset_spec(path) -> DatasetSpec:
     """Read a dataset description from a YAML file. Relative paths are
     resolved against the file's directory."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    with reading(path, "config", ConfigError) as f:
+        try:
             raw = yaml.safe_load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config {path} is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a mapping at the top level")
     if "pairs" in raw:
@@ -119,15 +117,11 @@ def load_dataset_spec(path) -> DatasetSpec:
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
     """Stdout when ``path`` is None or ``-``, else the file, closed on
-    exit. A path that cannot be opened for writing is a ConfigError."""
+    exit. A failure to open or write it reaches ``main`` as OSError."""
     if path is None or path == "-":
         yield sys.stdout
         return
-    try:
-        stream = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}")
-    with stream:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         yield stream
 
 
@@ -146,20 +140,16 @@ def _parse_label(columns: list[str]) -> int:
 
 def _read_score_tsv(path) -> dict[str, float]:
     """Read ``word_id<TAB>score`` lines; scores must be finite."""
-    return read_tsv(path, _parse_score, "word_id<TAB>score", DataError, 2)
+    return read_tsv(path, "score file", _parse_score, "word_id<TAB>score", DataError, 2)
 
 
 def _read_label_tsv(path) -> dict[str, int]:
     """Read ``word_id<TAB>{0|1}`` lines."""
-    return read_tsv(path, _parse_label, "word_id<TAB>0|1", DataError, 2)
+    return read_tsv(path, "label file", _parse_label, "word_id<TAB>0|1", DataError, 2)
 
 
 def _load_store(path) -> ProfileStore:
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read profile store {path}: {exc}")
-    with f:
+    with reading(path, "profile store", DataError) as f:
         return ProfileStore.load(f)
 
 
@@ -565,13 +555,17 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GramprofError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
+    except OSError as exc:
+        # errors.reading turns input failures into GramprofError, so this
+        # is a failed write: a full disk, a closed pipe, a bad -o path.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

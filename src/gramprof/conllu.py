@@ -148,7 +148,6 @@ class TargetIndex:
         if match_field not in ("lemma", "form"):
             raise ConfigError(f"unknown match field {match_field!r}")
         self.case_fold = case_fold
-        self.match_field = match_field
         self._field = Token._fields.index(match_field)
         seen_ids: set[str] = set()
         seen_rules: set[tuple[str, Optional[frozenset[str]]]] = set()
@@ -200,5 +199,5 @@ def load_targets(path) -> list[TargetSpec]:
             )
         return TargetSpec(columns[0].strip(), columns[1].strip(), upos_filter)
 
-    return list(read_tsv(path, parse, "word_id<TAB>lemma[<TAB>upos1,upos2]",
-                         ConfigError, 2, 3).values())
+    return list(read_tsv(path, "target list", parse,
+                         "word_id<TAB>lemma[<TAB>upos1,upos2]", ConfigError, 2, 3).values())

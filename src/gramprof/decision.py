@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DataError
+from .evaluation import check_same_words
 
 Ranking = list[tuple[str, float]]
 
@@ -71,8 +72,6 @@ def average_binary(labels_morph: Mapping[str, int],
                    labels_synt: Mapping[str, int]) -> dict[str, int]:
     """Combine two binary labelings by averaging and rounding half up,
     so (1, 0) resolves to 1."""
-    if set(labels_morph) != set(labels_synt):
-        missing = sorted(set(labels_morph) ^ set(labels_synt))
-        raise DataError(f"label word sets differ: {missing}")
+    check_same_words(labels_morph, labels_synt, "label")
     return {word_id: round_half_up((labels_morph[word_id] + labels_synt[word_id]) / 2.0)
             for word_id in labels_morph}

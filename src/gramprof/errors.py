@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the reader that
+opens every input file.
 
 ConfigError maps to CLI exit code 2 (usage / configuration problems),
 DataError to exit code 1 (problems with the content of input files).
 """
+
+import zlib
+from contextlib import contextmanager
+from functools import partial
 
 
 class GramprofError(Exception):
@@ -29,3 +34,20 @@ class ConlluParseError(DataError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+@contextmanager
+def reading(path, what: str, error: type[GramprofError],
+            opener=partial(open, encoding="utf-8")):
+    """``path`` opened by ``opener`` (UTF-8 text by default), closed on exit.
+    ConfigError if it cannot be opened; ``error`` if reading it fails (an
+    I/O error, a truncated or corrupt ``.gz``, bytes that are not UTF-8)."""
+    try:
+        stream = opener(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    with stream:
+        try:
+            yield stream
+        except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+            raise error(f"error reading {what} {path}: {exc}")

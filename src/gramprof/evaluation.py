@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError
 from .tsv import read_tsv
@@ -33,10 +33,10 @@ class GoldRecord:
             raise DataError(f"gold record {self.word_id!r}: binary label must be 0 or 1")
 
 
-def _check_keys(pred: Mapping, gold: Mapping, what: str) -> None:
-    if set(pred) != set(gold):
-        missing = sorted(set(pred) ^ set(gold))
-        raise DataError(f"{what}: prediction and gold word sets differ: {missing}")
+def check_same_words(a: Iterable[str], b: Iterable[str], what: str) -> None:
+    """DataError naming the words in only one of ``a`` and ``b``, if any."""
+    if set(a) != set(b):
+        raise DataError(f"{what} word sets differ: {sorted(set(a) ^ set(b))}")
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -82,7 +82,7 @@ def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
     when either side has no rank variance, where the coefficient is
     undefined.
     """
-    _check_keys(pred, gold, "spearman")
+    check_same_words(pred, gold, "spearman: prediction and gold")
     if len(pred) < 2:
         raise DataError("spearman needs at least 2 words")
     word_ids = sorted(pred)
@@ -94,7 +94,7 @@ def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
 
 def accuracy(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
     """Fraction of words whose binary label matches the gold label."""
-    _check_keys(pred, gold, "accuracy")
+    check_same_words(pred, gold, "accuracy: prediction and gold")
     if not pred:
         raise DataError("accuracy of an empty prediction set is undefined")
     matches = sum(1 for word_id in pred if pred[word_id] == gold[word_id])
@@ -109,7 +109,7 @@ def per_class_f1(pred: Mapping[str, int], gold: Mapping[str, int]
     recall; its F1 is 0 by convention (logged, and flagged by report
     writers).
     """
-    _check_keys(pred, gold, "F1")
+    check_same_words(pred, gold, "F1: prediction and gold")
     f1 = {}
     for cls in (0, 1):
         tp = sum(1 for w in pred if pred[w] == cls and gold[w] == cls)
@@ -143,7 +143,8 @@ def load_gold(path) -> dict[str, GoldRecord]:
             raise ValueError(f"graded score {graded!r} is not finite")
         return GoldRecord(word_id, None if binary == "-" else int(binary), score)
 
-    return read_tsv(path, parse, "word_id<TAB>binary<TAB>graded", DataError, 3, 3)
+    return read_tsv(path, "gold file", parse, "word_id<TAB>binary<TAB>graded",
+                    DataError, 3, 3)
 
 
 def binary_gold(records: Mapping[str, GoldRecord]) -> dict[str, int]:

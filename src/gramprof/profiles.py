@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 from .conllu import TargetIndex, TargetSpec, open_corpus, parse_conllu, parse_feats, \
     strip_deprel_subtype
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 STORE_FORMAT = "grammatical-profile-store"
 STORE_VERSION = 1
@@ -140,15 +140,8 @@ def _iter_source(source, period: str, errors: str):
     if hasattr(source, "read"):
         yield from parse_conllu(source, errors=errors)
         return
-    try:
-        stream = open_corpus(source)
-    except OSError as exc:
-        raise ConfigError(f"cannot read corpus for period {period!r}: {source}: {exc}")
-    with stream:
-        try:
-            yield from parse_conllu(stream, errors=errors)
-        except OSError as exc:
-            raise DataError(f"error reading corpus for period {period!r}: {source}: {exc}")
+    with reading(source, f"corpus for period {period!r}:", DataError, open_corpus) as f:
+        yield from parse_conllu(f, errors=errors)
 
 
 @dataclass

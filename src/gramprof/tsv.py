@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-from .errors import ConfigError
+from .errors import reading
 
 T = TypeVar("T")
 
 
-def read_tsv(path, parse: Callable[[list[str]], T], layout: str,
+def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
              error: type[Exception], min_columns: int,
              max_columns: Optional[int] = None) -> dict[str, T]:
     """Read ``path`` into {first column: parse(columns)}, in file order.
@@ -19,15 +19,11 @@ def read_tsv(path, parse: Callable[[list[str]], T], layout: str,
     ``min_columns`` or more than ``max_columns`` columns, a line whose
     columns ``parse`` rejects with ValueError, a repeated first column
     and a file without records raise ``error`` naming the line;
-    ``layout`` describes a valid line in the message. A file that
-    cannot be opened raises ConfigError.
+    ``layout`` describes a valid line in the message. The file is read
+    through ``errors.reading``, which names it as ``what``.
     """
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
     records: dict[str, T] = {}
-    with f:
+    with reading(path, what, error) as f:
         for line_number, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):

@@ -1,3 +1,6 @@
+import ast
+import builtins
+import gzip
 import json
 import logging
 import os
@@ -9,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import gramprof
+from gramprof.analysis import build_feature_matrix, category_correlations
 from gramprof.cli import main
 from gramprof.decision import classify_changepoint, rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import MethodConfig, score_period_pair
+import synth
 
 OLD_CORPUS = """\
 # period one
@@ -572,6 +577,13 @@ def test_analyze_l2_is_checked_before_the_store_is_read(tmp_path, capsys, value)
     assert "--l2: the inverse regularization strength must be positive" in captured.err
 
 
+def python_env():
+    """The environment for a fresh interpreter that imports this gramprof."""
+    src = str(Path(gramprof.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # Imports gramprof in a fresh interpreter, runs the CLI command given as
 # arguments (if any) and prints the numpy and scipy modules then loaded.
 MODULES_PROBE = """\
@@ -613,12 +625,9 @@ NO_NUMPY = ["numpy", "scipy"]
                   "--exact-p"], ["numpy"], ["scipy"], id="analyze-exact-p"),
 ])
 def test_commands_import_only_what_they_use(demo, argv, needed, absent):
-    src = str(Path(gramprof.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", MODULES_PROBE,
                            *(arg.format(**demo) for arg in argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=python_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert set(needed) <= loaded
@@ -681,3 +690,249 @@ def test_changepoint_on_a_tie_made_by_six_decimals(tmp_path, capsys):
                       encoding="utf-8")
     assert run(["classify", scores, "--changepoint"]) == 0
     assert capsys.readouterr().out == "a\t1\nb\t0\nc\t0\nd\t0\n"
+
+
+def non_utf8_copy(source, target):
+    """Copy ``source`` to ``target`` with a byte that is not UTF-8 in a
+    comment line at its end."""
+    target.write_bytes(Path(source).read_bytes() + b"# \xff\n")
+    return target
+
+
+@pytest.fixture
+def broken(demo, tmp_path):
+    """Argument templates' paths: the demo dataset copied into a fresh
+    directory, and one input of each kind that fails while it is read."""
+    for name in ("dataset.yml", "targets.tsv", "gold.tsv", "old.conllu", "new.conllu"):
+        (tmp_path / name).write_bytes((DEMO / name).read_bytes())
+    yml = (DEMO / "dataset.yml").read_text(encoding="utf-8")
+    paths = dict(demo, d=tmp_path, gz=tmp_path / "old.conllu.gz")
+    whole = gzip.compress((DEMO / "old.conllu").read_bytes(), mtime=0)
+    paths["gz"].write_bytes(whole[:len(whole) // 2])
+    (tmp_path / "corrupt.conllu.gz").write_bytes(  # a deflate stream zlib rejects
+        whole[:100] + bytes(b ^ 0x5A for b in whole[100:200]) + whole[200:])
+    for name, text in [("corpus", yml.replace("[old.conllu]", "[bad.conllu]")),
+                       ("gz", yml.replace("[old.conllu]", "[old.conllu.gz]")),
+                       ("corrupt", yml.replace("[old.conllu]", "[corrupt.conllu.gz]")),
+                       ("targets", yml.replace("targets.tsv", "bad.tsv"))]:
+        (tmp_path / f"{name}.yml").write_text(text, encoding="utf-8")
+    non_utf8_copy(DEMO / "dataset.yml", tmp_path / "bad.yml")
+    non_utf8_copy(DEMO / "targets.tsv", tmp_path / "bad.tsv")
+    non_utf8_copy(DEMO / "old.conllu", tmp_path / "bad.conllu")
+    for name in ("store", "scores", "labels"):
+        paths[f"bad_{name}"] = non_utf8_copy(demo[name], tmp_path / f"bad_{name}")
+    paths["bad_gold"] = non_utf8_copy(DEMO / "gold.tsv", tmp_path / "bad_gold.tsv")
+    return paths
+
+
+def run_process(argv, stdout=subprocess.DEVNULL):
+    """Run ``python -m gramprof argv`` in a fresh interpreter; returns
+    (exit code, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "gramprof", *argv], env=python_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+# (argv, exit code, the file the error line names or None, where stdout
+# goes): inputs that fail while they are read, outputs that cannot be
+# written, and inputs or outputs that cannot be opened
+FAILURES = [
+    pytest.param(["extract", "-c", "{d}/bad.yml", "-o", "{d}/out"], 2, "{d}/bad.yml",
+                 None, id="yaml"),
+    pytest.param(["extract", "-c", "{d}/targets.yml", "-o", "{d}/out"], 2,
+                 "{d}/bad.tsv", None, id="targets"),
+    pytest.param(["extract", "-c", "{d}/corpus.yml", "-o", "{d}/out"], 1,
+                 "{d}/bad.conllu", None, id="corpus"),
+    pytest.param(["extract", "-c", "{d}/gz.yml", "-o", "{d}/out"], 1, "{gz}", None,
+                 id="truncated-gz"),
+    pytest.param(["extract", "-c", "{d}/corrupt.yml", "-o", "{d}/out"], 1,
+                 "{d}/corrupt.conllu.gz", None, id="corrupt-gz"),
+    pytest.param(["score", "{bad_store}"], 1, "{bad_store}", None, id="store"),
+    pytest.param(["evaluate", "{scores}", "{bad_gold}", "--task", "graded"], 1,
+                 "{bad_gold}", None, id="gold"),
+    pytest.param(["rank", "{bad_scores}"], 1, "{bad_scores}", None, id="scores"),
+    pytest.param(["combine-labels", "{labels}", "{bad_labels}"], 1, "{bad_labels}",
+                 None, id="labels"),
+    pytest.param(["score", "{store}", "-o", "/dev/full"], 2, None, None,
+                 id="score-o-full", marks=needs_dev_full),
+    pytest.param(["extract", "-c", "{d}/dataset.yml", "-o", "/dev/full"], 2, None,
+                 None, id="extract-o-full", marks=needs_dev_full),
+    pytest.param(["rank", "{scores}"], 2, None, "/dev/full", id="rank-stdout-full",
+                 marks=needs_dev_full),
+    pytest.param(["evaluate", "{labels}", "{d}/gold.tsv", "--task", "binary"], 2,
+                 None, "/dev/full", id="evaluate-stdout-full", marks=needs_dev_full),
+    pytest.param(["score", "{store}"], 2, None, "pipe", id="score-closed-pipe"),
+    pytest.param(["rank", "{d}/none.tsv"], 2, "{d}/none.tsv", None, id="unopenable"),
+    pytest.param(["score", "{store}", "-o", "{d}"], 2, None, None, id="o-directory"),
+]
+
+
+@pytest.mark.parametrize("argv, code, names, stdout", FAILURES)
+def test_io_failure_is_one_error_line_with_its_exit_code(broken, argv, code, names,
+                                                         stdout):
+    argv = [arg.format(**broken) for arg in argv]
+    if stdout == "pipe":  # a reader that has gone away, as after `| head -1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_process(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+    elif stdout is not None:
+        with open(stdout, "w") as sink:
+            result = run_process(argv, stdout=sink)
+    else:
+        result = run_process(argv)
+    assert result[0] == code, result[1]
+    errors = [line for line in result[1].splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result[1]
+    if names is None:
+        assert "cannot write output" in errors[0]
+    else:
+        assert names.format(**broken) in errors[0]
+    assert "Traceback" not in result[1] and "Exception ignored" not in result[1]
+
+
+# The only places in the package that open a file or catch OSError: the
+# shared reader, the corpus opener it is given, the output stream and the
+# handler of write failures.
+IO_SITES = {("errors.py", "reading"), ("conllu.py", "open_corpus"),
+            ("cli.py", "_output"), ("cli.py", "main")}
+
+
+def io_sites(node, function=None):
+    """(innermost enclosing function, line) of every ``open`` name or
+    attribute and every ``except`` of an OSError class under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Name) and node.id == "open" \
+            or isinstance(node, ast.Attribute) and node.attr == "open":
+        yield function, node.lineno
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        for name in ast.walk(node.type):
+            cls = getattr(builtins, name.id, None) if isinstance(name, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, OSError):
+                yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from io_sites(child, function)
+
+
+def test_files_are_opened_and_os_errors_caught_only_in_the_io_helpers():
+    package = Path(gramprof.__file__).resolve().parent
+    stray = [f"{path.name}:{line} in {function}"
+             for path in sorted(package.glob("*.py"))
+             for function, line in io_sites(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, function) not in IO_SITES]
+    assert stray == []
+
+
+def suffixed_store(path, rng, n_words):
+    """synth.random_store with ``_nn`` appended to the even word ids and
+    ``_vb`` to the odd ones, saved to ``path``."""
+    store = synth.random_store(rng, n_words, ["old", "new"])
+    suffix = {w: w + ("_nn" if i % 2 == 0 else "_vb") for i, w in enumerate(store.word_ids)}
+    store.profiles = {(suffix[w], p): Profile(suffix[w], p, q.morph, q.synt, q.total)
+                      for (w, p), q in store.profiles.items()}
+    with open(path, "w", encoding="utf-8") as f:
+        store.save(f)
+    return store
+
+
+def test_analyze_subset_suffix_equals_library_on_the_subset(tmp_path, capsys):
+    rng = random.Random(11)
+    store = suffixed_store(tmp_path / "store.jsonl", rng, 40)
+    graded = {w: rng.random() for w in store.word_ids}
+    (tmp_path / "gold.tsv").write_text("".join(f"{w}\t{rng.randrange(2)}\t{v!r}\n"
+                                               for w, v in graded.items()),
+                                       encoding="utf-8")
+    keep = [w for w in store.word_ids if w.endswith("_nn")]
+    matrix = build_feature_matrix(store.profiles, ("old", "new"), MethodConfig())
+    expected = category_correlations(matrix.subset(keep), {w: graded[w] for w in keep})
+    assert any(r.rho is not None for r in expected)
+    capsys.readouterr()
+    assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
+                "--report", "correlation", "--subset-suffix", "_nn",
+                "--format", "json-lines"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["category"], r["rho"], r["p_value"], r["n"]) for r in rows] == \
+        [(r.column, r.rho, r.p_value, r.n) for r in expected]
+    assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
+                "--report", "correlation", "--subset-suffix", "_xx"]) == 1
+    assert "no words match suffix '_xx'" in capsys.readouterr().err
+
+
+def tsv_of_json_lines(lines, tables):
+    """The TSV report holding the rows of a json-lines report: a header
+    line before each table (a column list of ``tables``, chosen by the
+    row's first column), floats to 4 decimals, booleans as yes/no and
+    null as ``-``."""
+    def cell(value):
+        if value is None:
+            return "-"
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+    out, header = [], None
+    for line in lines:
+        row = json.loads(line)
+        columns = next(columns for columns in tables if columns[0] in row)
+        if columns != header:
+            out.append("\t".join(columns))
+            header = columns
+        out.append("\t".join(cell(row.get(column)) for column in columns))
+    return out
+
+
+REPORT_TABLES = [["metric", "value"], ["category", "coefficient", "positive"],
+                 ["category", "rho", "p_value", "significant", "n", "note"]]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary"], REPORT_TABLES[:1]),
+    (["evaluate", "{scores}", "{data}/gold.tsv", "--task", "graded"], REPORT_TABLES[:1]),
+    (["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"], REPORT_TABLES[:2]),
+    (["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
+     REPORT_TABLES[2:]),
+], ids=["evaluate-binary", "evaluate-graded", "analyze-logreg", "analyze-correlation"])
+def test_tsv_report_holds_the_json_lines_rows(demo, capsys, argv, tables):
+    argv = [arg.format(**demo) for arg in argv]
+    capsys.readouterr()
+    assert run(argv + ["--format", "json-lines"]) == 0
+    expected = tsv_of_json_lines(capsys.readouterr().out.splitlines(), tables)
+    assert run(argv + ["--format", "tsv"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_store_with_a_duplicate_record_exits_1(dataset, capsys):
+    store = extract(dataset)
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    store.write_text("".join(lines) + lines[1], encoding="utf-8")
+    record = json.loads(lines[1])
+    capsys.readouterr()
+    assert run(["score", store]) == 1
+    assert (f"profile store line {len(lines) + 1}: duplicate record "
+            f"{(record['word_id'], record['period'])}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--filter-per-period"], MethodConfig(per_period_filter=True)),
+    (["--zero-distance", "0.3"], MethodConfig(zero_profile_distance=0.3)),
+], ids=["filter-per-period", "zero-distance"])
+def test_score_filter_flags_equal_library(tmp_path, capsys, flags, config):
+    store = synth.random_store(random.Random(12), 300, ["old", "new"])
+    with open(tmp_path / "store.jsonl", "w", encoding="utf-8") as f:
+        store.save(f)
+
+    def ranking(config):
+        scores = score_period_pair(store.profiles, ("old", "new"), config)
+        return "".join(f"{w}\t{v:.6f}\n"
+                       for w, v in rank_words({s.word_id: s.aggregate for s in scores}))
+
+    assert ranking(config) != ranking(MethodConfig())
+    capsys.readouterr()
+    assert run(["score", tmp_path / "store.jsonl", *flags]) == 0
+    assert capsys.readouterr().out == ranking(config)
