@@ -13,10 +13,10 @@ Run from the repository root:  python3 demos/quickstart.py
 
 from pathlib import Path
 
-from gramprof import (MethodConfig, classify_changepoint, extract_profiles,
-                      load_gold, load_targets, rank_words, score_period_pair,
-                      separate_categories, spearman, accuracy)
-from gramprof.evaluation import binary_gold, graded_gold
+from gramprof import (MethodConfig, accuracy, binary_gold, classify_changepoint,
+                      extract_profiles, graded_gold, load_gold, load_targets,
+                      rank_words, score_period_pair, spearman)
+from gramprof.profiles import separate_categories
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,7 +57,7 @@ config = MethodConfig(feature_kind="combination", separation=True,
                       filter_threshold=0.05)
 scores = score_period_pair(profiles, ("old", "new"), config)
 ranking = rank_words({s.word_id: s.aggregate for s in scores})
-print(f"method: {scores[0].method}")
+print(f"method: {config}")
 for word, value in ranking:
     detail = scores[[s.word_id for s in scores].index(word)]
     cats = ", ".join(f"{c}={d:.3f}" for c, d in sorted(detail.per_category.items()))

@@ -35,11 +35,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from gramprof import (MethodConfig, classify_changepoint, extract_profiles,
-                      load_gold, load_targets, rank_words, score_period_pair,
-                      spearman, accuracy)
+from gramprof import (MethodConfig, accuracy, binary_gold, classify_changepoint,
+                      extract_profiles, graded_gold, load_gold, load_targets,
+                      rank_words, score_period_pair, spearman)
 from gramprof.cli import load_dataset_spec
-from gramprof.evaluation import binary_gold, graded_gold
 
 EXPECTED_SPEARMAN = {
     "english": 0.320,

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 SYNTAX_COLUMN = "syntax"
+LOGREG_L2_INVERSE_STRENGTH = 1.0
 LOGREG_TOLERANCE = 1e-8
 LOGREG_MAX_ITERATIONS = 100000
 
@@ -174,7 +175,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
-                 l2_inverse_strength: float = 1.0) -> LogregResult:
+                 l2_inverse_strength: float = LOGREG_L2_INVERSE_STRENGTH
+                 ) -> LogregResult:
     """Fit binary logistic regression by full-batch gradient descent.
 
     The loss is the mean negative log-likelihood plus an L2 penalty of

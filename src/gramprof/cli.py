@@ -16,28 +16,28 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
 import yaml
 
 from . import __version__
-from .analysis import (build_feature_matrix, category_correlations, standardize,
-                       timeline, train_logreg)
+from .analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
+                       category_correlations, standardize, timeline, train_logreg)
 from .conllu import load_targets
 from .decision import average_binary, classify_changepoint, classify_topn, rank_words
 from .errors import ConfigError, DataError, GramprofError, reading
 from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1, \
     per_class_f1, spearman
 from .profiles import ProfileStore, extract_profiles
-from .scoring import MethodConfig, score_period_pair
+from .scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
 from .tsv import read_tsv
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_FILTER = 0.05
-DEFAULT_RATIO = 0.43
+# Each method flag's dest is the MethodConfig field it sets and defaults to.
+_METHOD_DEFAULTS = MethodConfig()
 
 
 @dataclass
@@ -54,8 +54,7 @@ class DatasetSpec:
     def __post_init__(self):
         if len(self.periods) < 2:
             raise ConfigError("dataset needs at least 2 periods")
-        labels = [label for label, _ in self.periods]
-        if len(set(labels)) != len(labels):
+        if len(set(self.period_labels)) != len(self.periods):
             raise ConfigError("duplicate period labels")
 
     @property
@@ -65,7 +64,8 @@ class DatasetSpec:
 
 def load_dataset_spec(path) -> DatasetSpec:
     """Read a dataset description from a YAML file. Relative paths are
-    resolved against the file's directory."""
+    resolved against the file's directory; a corpus file may appear only
+    once in the whole dataset."""
     path = Path(path)
     with reading(path, "config", ConfigError) as f:
         try:
@@ -102,10 +102,16 @@ def load_dataset_spec(path) -> DatasetSpec:
     except TypeError as exc:
         raise ConfigError(f"config {path}: 'periods' must be a list of entries "
                           f"with 'label' and 'paths' ({exc})")
-    for _, paths in spec.periods:
+    seen: dict[Path, str] = {}
+    for label, paths in spec.periods:
         for p in paths:
             if not Path(p).exists():
                 raise ConfigError(f"config {path}: corpus file not found: {p}")
+            file = Path(p).resolve()
+            if file in seen:
+                raise ConfigError(f"config {path}: corpus file {p} is listed twice "
+                                  f"(periods {seen[file]!r} and {label!r})")
+            seen[file] = label
     if not Path(spec.targets_path).exists():
         raise ConfigError(f"config {path}: target file not found: {spec.targets_path}")
     return spec
@@ -140,12 +146,14 @@ def _parse_label(columns: list[str]) -> int:
 
 def _read_score_tsv(path) -> dict[str, float]:
     """Read ``word_id<TAB>score`` lines; scores must be finite."""
-    return read_tsv(path, "score file", _parse_score, "word_id<TAB>score", DataError, 2)
+    return read_tsv(path, "score file", _parse_score, "word_id<TAB>score", DataError,
+                    2, 2)
 
 
 def _read_label_tsv(path) -> dict[str, int]:
     """Read ``word_id<TAB>{0|1}`` lines."""
-    return read_tsv(path, "label file", _parse_label, "word_id<TAB>0|1", DataError, 2)
+    return read_tsv(path, "label file", _parse_label, "word_id<TAB>0|1", DataError,
+                    2, 2)
 
 
 def _load_store(path) -> ProfileStore:
@@ -171,14 +179,11 @@ def _resolve_pair(store: ProfileStore, pair: Optional[list[str]]) -> tuple[str, 
     return a, b
 
 
-def _method_config(args, **method) -> MethodConfig:
-    """MethodConfig from the filter flags; ``method`` sets the rest."""
-    return MethodConfig(
-        filter_threshold=args.filter,
-        zero_profile_distance=args.zero_distance,
-        per_period_filter=args.filter_per_period,
-        **method,
-    )
+def _method_config(args) -> MethodConfig:
+    """MethodConfig from the method flags the command has; the fields
+    it has no flag for keep their defaults."""
+    return MethodConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(MethodConfig) if hasattr(args, f.name)})
 
 
 def _emit_report(rows: list[dict], stream: TextIO, output_format: str,
@@ -254,8 +259,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _method_config(args, feature_kind=args.features,
-                            separation=args.separate, aggregation=args.aggregate)
+    config = _method_config(args)
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     scores = score_period_pair(store.profiles, pair, config)
@@ -423,14 +427,16 @@ def cmd_combine_labels(args) -> int:
 # parser
 
 def _add_filter_flags(parser) -> None:
-    parser.add_argument("--filter", type=float, default=DEFAULT_FILTER,
-                        metavar="SHARE",
+    parser.add_argument("--filter", dest="filter_threshold", type=float,
+                        default=_METHOD_DEFAULTS.filter_threshold, metavar="SHARE",
                         help="drop features rarer than this share of the word's "
                              "usages (default %(default)s)")
-    parser.add_argument("--filter-per-period", action="store_true",
+    parser.add_argument("--filter-per-period", dest="per_period_filter",
+                        action="store_true",
                         help="compare feature counts against each period's own "
                              "total instead of the summed totals")
-    parser.add_argument("--zero-distance", type=float, default=1.0, metavar="D",
+    parser.add_argument("--zero-distance", dest="zero_profile_distance", type=float,
+                        default=_METHOD_DEFAULTS.zero_profile_distance, metavar="D",
                         help="distance for a profile present in only one period "
                              "(default %(default)s)")
 
@@ -465,12 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="compute change scores for a period pair")
     p.add_argument("store", help="profile store from 'extract'")
     p.add_argument("-o", "--output", default=None, help="ranking TSV (default stdout)")
-    p.add_argument("--features", choices=["morphology", "syntax", "average",
-                                          "combination"],
-                   default="morphology", help="feature set (default %(default)s)")
-    p.add_argument("--separate", action="store_true",
+    p.add_argument("--features", dest="feature_kind", choices=FEATURE_KINDS,
+                   default=_METHOD_DEFAULTS.feature_kind,
+                   help="feature set (default %(default)s)")
+    p.add_argument("--separate", dest="separation", action="store_true",
                    help="score each morphological category separately")
-    p.add_argument("--aggregate", choices=["max", "mean"], default="max",
+    p.add_argument("--aggregate", dest="aggregation", choices=AGGREGATIONS,
+                   default=_METHOD_DEFAULTS.aggregation,
                    help="how to aggregate per-category distances "
                         "(default %(default)s)")
     _add_filter_flags(p)
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="label TSV (default stdout)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ratio", type=float, default=None, metavar="R",
-                       help=f"label the top share as changed (e.g. {DEFAULT_RATIO})")
+                       help="label the top share as changed (e.g. 0.43)")
     group.add_argument("--changepoint", action="store_true",
                        help="find the split automatically by change-point "
                             "detection")
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["logreg", "correlation"], required=True)
     p.add_argument("--pair", nargs=2, metavar=("A", "B"), default=None)
     _add_filter_flags(p)
-    p.add_argument("--l2", type=float, default=1.0, metavar="C",
+    p.add_argument("--l2", type=float, default=LOGREG_L2_INVERSE_STRENGTH, metavar="C",
                    help="inverse L2 regularization strength for the logistic "
                         "regression (default %(default)s)")
     p.add_argument("--missing-as-absent", action="store_true",

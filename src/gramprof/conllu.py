@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ConfigError, ConlluParseError
+from .errors import INPUT_ENCODING, ConfigError, ConlluParseError
 from .tsv import read_tsv
 
 logger = logging.getLogger(__name__)
@@ -88,12 +88,13 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
     that do not have exactly 10 tab-separated columns are malformed:
     with ``errors="skip"`` they are dropped with a warning, with
     ``errors="strict"`` a ConlluParseError carrying the line number is
-    raised.
+    raised. Both name the stream's ``name`` (its file) when it has one.
     """
     if errors not in ("skip", "strict"):
         raise ValueError(f"unknown error policy {errors!r}")
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    path = getattr(stream, "name", None)
     sentence: list[Token] = []
     for line_number, line in enumerate(stream, start=1):
         columns = line.split("\t")
@@ -113,7 +114,7 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
         if line.startswith("#"):
             continue
         err = ConlluParseError(
-            line_number, f"expected {N_COLUMNS} columns, got {len(columns)}"
+            line_number, f"expected {N_COLUMNS} columns, got {len(columns)}", path
         )
         if errors == "strict":
             raise err
@@ -127,8 +128,8 @@ def open_corpus(path) -> IO[str]:
     ``.gz`` files."""
     path = str(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return gzip.open(path, "rt", encoding=INPUT_ENCODING)
+    return open(path, "r", encoding=INPUT_ENCODING)
 
 
 class TargetIndex:

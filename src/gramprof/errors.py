@@ -28,20 +28,24 @@ class ConlluParseError(DataError):
     """A token line violating the 10-column layout.
 
     Carries the 1-based line number so callers can decide whether to
-    skip the line or abort.
+    skip the line or abort; the message names the file when known.
     """
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
+
+
+INPUT_ENCODING = "utf-8-sig"  # of every input: UTF-8 minus a leading byte-order mark
 
 
 @contextmanager
 def reading(path, what: str, error: type[GramprofError],
-            opener=partial(open, encoding="utf-8")):
-    """``path`` opened by ``opener`` (UTF-8 text by default), closed on exit.
-    ConfigError if it cannot be opened; ``error`` if reading it fails (an
-    I/O error, a truncated or corrupt ``.gz``, bytes that are not UTF-8)."""
+            opener=partial(open, encoding=INPUT_ENCODING)):
+    """``path`` opened by ``opener`` (INPUT_ENCODING text by default), closed
+    on exit. ConfigError if it cannot be opened; ``error`` if reading it
+    fails (an I/O error, a truncated or corrupt ``.gz``, bytes not UTF-8)."""
     try:
         stream = opener(path)
     except OSError as exc:

@@ -53,25 +53,11 @@ class MethodConfig:
         if self.feature_kind == "combination" and not self.separation:
             raise ConfigError("the combination method requires category separation")
 
-    def describe(self) -> str:
-        parts = []
-        if self.separation:
-            parts.append("separate")
-            if self.feature_kind != "combination":
-                parts.append(f"aggregate={self.aggregation}")
-        parts.append(f"filter={self.filter_threshold:g}")
-        if self.per_period_filter:
-            parts.append("per-period")
-        if self.zero_profile_distance != 1.0:
-            parts.append(f"zero-distance={self.zero_profile_distance:g}")
-        return f"{self.feature_kind}({','.join(parts)})"
-
 
 @dataclass
 class ChangeScore:
     word_id: str
     aggregate: float
-    method: str
     d_morph: Optional[float] = None
     d_synt: Optional[float] = None
     per_category: dict[str, float] = field(default_factory=dict)
@@ -213,7 +199,6 @@ def score_word_pair(profile_a: Profile, profile_b: Profile,
     return ChangeScore(
         word_id=profile_a.word_id,
         aggregate=aggregate,
-        method=config.describe(),
         d_morph=d_morph,
         d_synt=d_synt,
         per_category=per_category,

@@ -3,24 +3,24 @@ score rankings and binary labels."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
-from .errors import reading
+from .errors import GramprofError, reading
 
 T = TypeVar("T")
 
 
 def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
              error: type[Exception], min_columns: int,
-             max_columns: Optional[int] = None) -> dict[str, T]:
+             max_columns: int) -> dict[str, T]:
     """Read ``path`` into {first column: parse(columns)}, in file order.
 
     Blank lines and ``#`` comments are skipped. A line with fewer than
     ``min_columns`` or more than ``max_columns`` columns, a line whose
-    columns ``parse`` rejects with ValueError, a repeated first column
-    and a file without records raise ``error`` naming the line;
-    ``layout`` describes a valid line in the message. The file is read
-    through ``errors.reading``, which names it as ``what``.
+    columns ``parse`` rejects (ValueError or GramprofError), a repeated
+    first column and a file without records raise ``error`` naming the
+    file and line; ``layout`` describes a valid line in the message. The
+    file is read through ``errors.reading``, which names it as ``what``.
     """
     records: dict[str, T] = {}
     with reading(path, what, error) as f:
@@ -30,12 +30,11 @@ def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
                 continue
             columns = line.split("\t")
             where = f"{path}: line {line_number}"
-            too_many = max_columns is not None and len(columns) > max_columns
-            if len(columns) < min_columns or too_many:
+            if not min_columns <= len(columns) <= max_columns:
                 raise error(f"{where}: expected {layout}, got {len(columns)} columns")
             try:
                 value = parse(columns)
-            except ValueError as exc:
+            except (ValueError, GramprofError) as exc:
                 raise error(f"{where}: {exc}")
             if columns[0] in records:
                 raise error(f"{where}: duplicate word {columns[0]!r}")

@@ -1,6 +1,8 @@
+import argparse
 import ast
 import builtins
 import gzip
+import inspect
 import json
 import logging
 import os
@@ -12,11 +14,13 @@ from pathlib import Path
 import pytest
 
 import gramprof
-from gramprof.analysis import build_feature_matrix, category_correlations
+from gramprof import cli
+from gramprof.analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
+                               category_correlations)
 from gramprof.cli import main
 from gramprof.decision import classify_changepoint, rank_words
 from gramprof.profiles import Profile, ProfileStore
-from gramprof.scoring import MethodConfig, score_period_pair
+from gramprof.scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
 import synth
 
 OLD_CORPUS = """\
@@ -936,3 +940,130 @@ def test_score_filter_flags_equal_library(tmp_path, capsys, flags, config):
     capsys.readouterr()
     assert run(["score", tmp_path / "store.jsonl", *flags]) == 0
     assert capsys.readouterr().out == ranking(config)
+
+
+def test_public_surface_is_what_the_cli_calls():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+
+    def functions(names, owner):
+        return {name for name in names if inspect.isfunction(getattr(owner, name))}
+
+    assert functions(gramprof.__all__, gramprof) == functions(imported, cli) - {"reading"}
+
+
+def test_method_flags_take_names_and_defaults_from_the_library():
+    parser = cli.build_parser()
+    assert cli._method_config(parser.parse_args(["score", "x"])) == MethodConfig()
+    analyze = parser.parse_args(["analyze", "x", "g", "--report", "logreg"])
+    assert cli._method_config(analyze) == MethodConfig()
+    assert analyze.l2 == LOGREG_L2_INVERSE_STRENGTH
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    choices = {action.dest: action.choices for action in commands["score"]._actions}
+    assert choices["feature_kind"] is FEATURE_KINDS
+    assert choices["aggregation"] is AGGREGATIONS
+
+
+DEMO_FILES = ("dataset.yml", "targets.tsv", "gold.tsv", "old.conllu", "new.conllu")
+
+
+def demo_copy(target, prefix=None, name=None):
+    """The demo dataset copied into ``target``; ``prefix`` bytes go in
+    front of file ``name``."""
+    target.mkdir(exist_ok=True)
+    for each in DEMO_FILES:
+        data = (DEMO / each).read_bytes()
+        (target / each).write_bytes(prefix + data if each == name else data)
+    return target
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("targets.tsv", ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"]),
+    ("old.conllu", ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out", "--strict"]),
+    ("gold.tsv", ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"]),
+], ids=["targets", "corpus", "gold"])
+def test_byte_order_mark_reads_as_the_file_without_it(demo, tmp_path, name, argv):
+    results = []
+    for d in (demo_copy(tmp_path / "plain"), demo_copy(tmp_path / "bom", BOM, name)):
+        with open(d / "stdout", "w", encoding="utf-8") as sink:
+            code, err = run_process([a.format(**dict(demo, d=d)) for a in argv], stdout=sink)
+        assert code == 0, err
+        written = (d / "out").read_bytes() if (d / "out").exists() else None
+        results.append(((d / "stdout").read_bytes(), written))
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("name, line, argv, code", [
+    ("targets.tsv", "w1\t\t\n", ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"],
+     2),
+    ("gold.tsv", "w\t-\t-\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"],
+     1),
+    ("gold.tsv", "w\t2\t0.5\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task",
+                                  "graded"], 1),
+], ids=["empty-lemma", "no-gold-value", "binary-not-0-or-1"])
+def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, line,
+                                                  argv, code):
+    d = demo_copy(tmp_path)
+    lines = (d / name).read_text(encoding="utf-8") + line
+    (d / name).write_text(lines, encoding="utf-8")
+    capsys.readouterr()
+    assert run([a.format(**dict(demo, d=d)) for a in argv]) == code
+    assert f"error: {d / name}: line {lines.count(chr(10))}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "{gold}"],
+    ["classify", "{gold}", "--changepoint"],
+    ["combine-labels", "{gold}", "{gold}"],
+], ids=["rank", "classify", "combine-labels"])
+def test_gold_file_is_not_a_score_or_label_file(capsys, argv):
+    capsys.readouterr()
+    assert run([a.format(gold=DEMO / "gold.tsv") for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{DEMO / 'gold.tsv'}: line 1: expected word_id<TAB>" in captured.err
+    assert "got 3 columns" in captured.err
+
+
+@pytest.mark.parametrize("corpus", ["old.conllu", "old.conllu.gz"])
+def test_corpus_errors_name_the_file(tmp_path, capsys, caplog, corpus):
+    d = demo_copy(tmp_path)
+    bad = b"not a token line\n" + (DEMO / "old.conllu").read_bytes() + b"also bad\n"
+    lines = bad.count(b"\n")
+    (d / corpus).write_bytes(gzip.compress(bad) if corpus.endswith(".gz") else bad)
+    yml = (d / "dataset.yml").read_text(encoding="utf-8")
+    (d / "dataset.yml").write_text(yml.replace("[old.conllu]", f"[{corpus}]"),
+                                   encoding="utf-8")
+    capsys.readouterr()
+    argv = ["extract", "-c", d / "dataset.yml", "-o", d / "out"]
+    assert run([*argv, "--strict"]) == 1
+    assert (f"error: {d / corpus}: line 1: expected 10 columns, got 1"
+            in capsys.readouterr().err)
+    with caplog.at_level(logging.WARNING, logger="gramprof.conllu"):
+        assert run(argv) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "gramprof.conllu"] == [
+        f"skipping malformed CONLL-U {d / corpus}: line {n}: expected 10 columns, "
+        f"got 1" for n in (1, lines)]
+
+
+@pytest.mark.parametrize("periods", [
+    "  - label: old\n    paths: [old.conllu]\n  - label: new\n    paths: [old.conllu]\n",
+    "  - label: old\n    paths: [old.conllu, ./old.conllu]\n"
+    "  - label: new\n    paths: [new.conllu]\n",
+], ids=["in-two-periods", "twice-in-one-period"])
+def test_corpus_listed_twice_exits_2(tmp_path, periods):
+    d = demo_copy(tmp_path)
+    yml = (d / "dataset.yml").read_text(encoding="utf-8")
+    (d / "dataset.yml").write_text(yml[:yml.index("periods:")] + "periods:\n" + periods,
+                                   encoding="utf-8")
+    code, err = run_process(["extract", "-c", str(d / "dataset.yml"), "-o", str(d / "out")])
+    assert code == 2, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "old.conllu is listed twice" in errors[0], err
+    assert not (d / "out").exists()

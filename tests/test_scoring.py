@@ -523,9 +523,3 @@ def test_score_period_pair_missing_profile():
     with pytest.raises(DataError):
         score_period_pair(profiles, ("old", "new"), default_config())
 
-
-def test_method_describe_is_deterministic():
-    config = default_config(feature_kind="combination", separation=True)
-    assert config.describe() == MethodConfig(
-        feature_kind="combination", separation=True).describe()
-    assert "combination" in config.describe()
