@@ -13,12 +13,15 @@ different method settings.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .conllu import TargetIndex, TargetSpec, open_corpus, parse_conllu, parse_feats, \
     strip_deprel_subtype
 from .errors import ConfigError, DataError, reading
+
+logger = logging.getLogger(__name__)
 
 STORE_FORMAT = "grammatical-profile-store"
 STORE_VERSION = 1
@@ -117,23 +120,63 @@ def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSp
     ``.gz`` allowed, or open text streams). Every (target, period)
     combination gets a profile, with total 0 when the word never
     occurs. ``strip_subtypes`` truncates dependency relations at ``:``
-    before counting.
+    before counting. Equal FEATS strings and equal DEPREL labels are one
+    string object across all the returned profiles.
+
+    A period whose corpora hold no token line raises DataError. A period
+    with tokens but no match, or whose matched tokens all have DEPREL
+    ``_``, or all FEATS ``_``, logs one warning for each of these.
     """
     targets = list(targets)
     if len(corpora) < 2:
         raise ConfigError("need at least two corpus periods")
     index = TargetIndex(targets, case_fold=case_fold, match_field=match_field)
+    # A corpus repeats few distinct FEATS strings and DEPREL labels, but
+    # each token's copy is a new string. ``shared`` maps every FEATS string
+    # and stored label to one object, so all count tables of this call key
+    # on that object; ``labels`` maps a raw DEPREL to its stored label, so
+    # a label is stripped once, not once per matched token.
+    shared: dict[str, str] = {}
+    labels: dict[str, str] = {}
     profiles: dict[tuple[str, str], Profile] = {}
     for period, sources in corpora.items():
         by_word = {spec.word_id: Profile(spec.word_id, period) for spec in targets}
+        tokens = 0
         for source in sources:
             for sentence in _iter_source(source, period, errors):
+                tokens += len(sentence)
                 for word_id, token in index.match(sentence):
-                    deprel = strip_deprel_subtype(token.deprel) if strip_subtypes \
-                        else token.deprel
-                    by_word[word_id].add_token(token.feats, deprel)
+                    label = labels.get(token.deprel)
+                    if label is None:
+                        label = strip_deprel_subtype(token.deprel) if strip_subtypes \
+                            else token.deprel
+                        label = labels[token.deprel] = shared.setdefault(label, label)
+                    feats = token.feats
+                    by_word[word_id].add_token(shared.setdefault(feats, feats), label)
+        _check_period(period, sources, tokens, by_word.values())
         profiles.update(((word_id, period), p) for word_id, p in by_word.items())
     return profiles
+
+
+def _check_period(period: str, sources, tokens: int, period_profiles) -> None:
+    """Fail a period that gave no token, and warn once about a period
+    whose matches cannot give a meaningful profile."""
+    names = ", ".join(str(getattr(source, "name", "<stream>") if hasattr(source, "read")
+                          else source) for source in sources)
+    if not tokens:
+        raise DataError(f"period {period!r} has no token lines in its corpus files: "
+                        f"{names or '(none)'}")
+    matched = sum(p.total for p in period_profiles)
+    if not matched:
+        logger.warning("period %r: %d tokens but no target matched (%s)",
+                       period, tokens, names)
+        return
+    if sum(p.synt.get("_", 0) for p in period_profiles) == matched:
+        logger.warning("period %r: every matched token has DEPREL '_' "
+                       "(an unparsed corpus?) (%s)", period, names)
+    if not any(p.morph for p in period_profiles):
+        logger.warning("period %r: every matched token has FEATS '_' "
+                       "(an untagged corpus?) (%s)", period, names)
 
 
 def _iter_source(source, period: str, errors: str):

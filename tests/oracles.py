@@ -148,3 +148,46 @@ def student_t_two_tailed_oracle(t, df):
     df = mpmath.mpf(df)
     x = df / (df + t * t)
     return float(mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+def extract_oracle(corpora, targets, case_fold=False, match_form=False,
+                   strip_subtypes=False):
+    """Per-word, per-period counts of matched tokens, from the documented
+    rules. ``corpora`` maps period -> list of CONLL-U texts; ``targets``
+    holds (word_id, lemma, set of UPOS or None) triples.
+
+    Each text is read by ``conllu_oracle``, so malformed lines, multiword
+    ranges and empty nodes hold no token. A token's lemma (its form with
+    ``match_form``), case-folded with ``case_fold`` like every target
+    lemma, matches each target with that lemma whose UPOS set is None or
+    holds the token's UPOS. Of those, a target with a UPOS set wins over
+    one without, then the lowest word_id. The winner counts the token
+    once in its total, once under its DEPREL (cut at the first ``:``
+    with ``strip_subtypes``) and, unless FEATS is ``_`` or empty, once
+    under its FEATS string. Returns {(word_id, period): (total, morph,
+    synt)} for every target and period."""
+    def key(text):
+        return text.casefold() if case_fold else text
+
+    by_key = {}
+    for word_id, lemma, allowed in targets:
+        by_key.setdefault(key(lemma), []).append((word_id, allowed))
+    counts = {(word_id, period): [0, {}, {}]
+              for period in corpora for word_id, _, _ in targets}
+    for period, texts in corpora.items():
+        for text in texts:
+            sentences, _ = conllu_oracle(text.split("\n"))
+            for form, lemma, upos, feats, deprel in (t for s in sentences for t in s):
+                candidates = sorted((allowed is None, word_id) for word_id, allowed
+                                    in by_key.get(key(form if match_form else lemma), [])
+                                    if allowed is None or upos in allowed)
+                if not candidates:
+                    continue
+                entry = counts[(candidates[0][1], period)]
+                entry[0] += 1
+                if strip_subtypes:
+                    deprel = deprel.split(":")[0]
+                entry[2][deprel] = entry[2].get(deprel, 0) + 1
+                if feats not in ("_", ""):
+                    entry[1][feats] = entry[1].get(feats, 0) + 1
+    return {k: tuple(v) for k, v in counts.items()}

@@ -1067,3 +1067,33 @@ def test_corpus_listed_twice_exits_2(tmp_path, periods):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "old.conllu is listed twice" in errors[0], err
     assert not (d / "out").exists()
+
+
+def unparsed(conllu: bytes) -> bytes:
+    """``conllu`` with DEPREL ``_`` on every token line."""
+    lines = conllu.decode("utf-8").split("\n")
+    for i, line in enumerate(lines):
+        columns = line.split("\t")
+        if len(columns) == 10 and not line.startswith("#"):
+            columns[7] = "_"
+            lines[i] = "\t".join(columns)
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("new, code, message", [
+    (b"", 1, "error: period 'new' has no token lines in its corpus files: {new}"),
+    (b"Plain text, not CONLL-U.\nA second line of it.\n", 1,
+     "error: period 'new' has no token lines in its corpus files: {new}"),
+    (unparsed((DEMO / "new.conllu").read_bytes()), 0,
+     "WARNING: period 'new': every matched token has DEPREL '_'"),
+], ids=["empty", "plain-text", "unparsed"])
+def test_period_that_cannot_give_a_profile(tmp_path, new, code, message):
+    d = demo_copy(tmp_path)
+    (d / "new.conllu").write_bytes(new)
+    result, err = run_process(["extract", "-c", str(d / "dataset.yml"), "-o", str(d / "out")])
+    assert result == code, err
+    lines = err.splitlines()
+    assert len([line for line in lines if line.startswith("error:")]) == code
+    assert len([line for line in lines
+                if line.startswith(message.format(new=d / "new.conllu"))]) == 1, err
+    assert (d / "out").exists() == (code == 0)

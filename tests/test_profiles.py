@@ -1,6 +1,9 @@
+import gzip
 import io
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +13,11 @@ from gramprof.conllu import TargetSpec
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
                                extract_profiles, separate_categories)
-from oracles import separate_categories_oracle
+from oracles import extract_oracle, separate_categories_oracle
 from synth import random_store
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 BATCH = profiles_module._DECODE_BATCH_LINES
 
@@ -48,7 +54,7 @@ def test_extract_counts_noun_example():
         + [("lass", "Number=Plur", "nsubj")] * 114
     corpora = {
         "old": [io.StringIO(corpus_text(entries))],
-        "new": [io.StringIO("")],
+        "new": [io.StringIO(token_line("other"))],
     }
     profiles = extract_profiles(corpora, [TargetSpec("lass", "lass")])
     profile = profiles[("lass", "old")]
@@ -73,7 +79,7 @@ def test_absent_target_empty_profile():
 def test_empty_feats_counts_toward_total_and_syntax():
     corpora = {
         "old": [io.StringIO(token_line("it", feats="_", deprel="obj"))],
-        "new": [io.StringIO("")],
+        "new": [io.StringIO(token_line("other"))],
     }
     profiles = extract_profiles(corpora, [TargetSpec("it", "it")])
     profile = profiles[("it", "old")]
@@ -97,10 +103,147 @@ def test_extract_unreadable_corpus_names_period_and_path():
 
 def test_extract_strip_subtypes():
     text = token_line("stab", deprel="obl:tmod") + token_line("stab", deprel="obl")
-    corpora = {"old": [io.StringIO(text)], "new": [io.StringIO("")]}
+    corpora = {"old": [io.StringIO(text)], "new": [io.StringIO(token_line("other"))]}
     profiles = extract_profiles(corpora, [TargetSpec("stab", "stab")],
                                 strip_subtypes=True)
     assert profiles[("stab", "old")].synt == {"obl": 2}
+
+
+def test_extract_fails_a_period_without_tokens(tmp_path):
+    empty = tmp_path / "new.conllu"
+    empty.write_text("# only a comment\n\n", encoding="utf-8")
+    corpora = {"old": [io.StringIO(token_line("lass"))], "new": [empty, io.StringIO("")]}
+    with pytest.raises(DataError) as err:
+        extract_profiles(corpora, [TargetSpec("lass", "lass")])
+    assert str(err.value) == \
+        f"period 'new' has no token lines in its corpus files: {empty}, <stream>"
+
+
+@pytest.mark.parametrize("text, warnings", [
+    (token_line("walk"), ["2 tokens but no target matched"]),
+    (token_line("lass", feats="Number=Sing", deprel="_"),
+     ["every matched token has DEPREL '_'"]),
+    (token_line("lass", feats="_") + token_line("walk", feats="Number=Sing"),
+     ["every matched token has FEATS '_'"]),
+    (token_line("lass", feats="_", deprel="_"),
+     ["every matched token has DEPREL '_'", "every matched token has FEATS '_'"]),
+    (token_line("lass", feats="Number=Sing") + token_line("lass", deprel="_"), []),
+], ids=["no-match", "deprel", "feats", "both", "none"])
+def test_suspect_period_warns_once_per_case(caplog, text, warnings):
+    corpora = {"old": [io.StringIO(token_line("lass", feats="Number=Sing"))],
+               "new": [io.StringIO(text), io.StringIO(text)]}
+    with caplog.at_level("WARNING", logger="gramprof.profiles"):
+        extract_profiles(corpora, [TargetSpec("lass", "lass")])
+    messages = [r.getMessage() for r in caplog.records if r.name == "gramprof.profiles"]
+    assert len(messages) == len(warnings)
+    for message, warning in zip(messages, warnings):
+        assert message.startswith("period 'new': ") and warning in message
+
+
+def test_equal_keys_are_one_object_within_a_call_only():
+    text = "".join(token_line(lemma, feats=feats, deprel=deprel)
+                   for lemma in ("lass", "stab")
+                   for feats, deprel in [("Number=Sing", "obl:tmod"),
+                                         ("Case=Nom|Number=Plur", "obl")])
+    targets = [TargetSpec("lass", "lass"), TargetSpec("stab", "stab")]
+
+    def keys(table):
+        profiles = extract_profiles({p: [io.StringIO(text)] for p in ("old", "new")},
+                                    targets, strip_subtypes=True)
+        return [key for p in profiles.values() for key in getattr(p, table)]
+
+    for table in ("morph", "synt"):
+        first, second = keys(table), keys(table)
+        assert len(first) == len(second) > len(set(first))
+        assert len({id(key) for key in first}) == len(set(first))
+        assert not {id(key) for key in first} & {id(key) for key in second}
+
+
+# random corpora for the extraction oracle: lemmas equal under case
+# folding ("straße", "STRASSE"), POS filters, subtyped and plain relations
+ORACLE_LEMMAS = ["lass", "Lass", "stab", "STAB", "straße", "STRASSE", "walk", "obl"]
+ORACLE_UPOS = ["NOUN", "VERB", "ADJ", "PROPN"]
+ORACLE_FEATS = ["_", "Number=Sing", "Number=Plur", "Case=Nom|Number=Sing", "Tense=Past"]
+ORACLE_DEPRELS = ["obl", "obl:tmod", "nmod", "nmod:poss", "nsubj", "root", "_"]
+ORACLE_FILTERS = [None, frozenset({"NOUN"}), frozenset({"VERB", "ADJ"}),
+                  frozenset({"NOUN", "PROPN"})]
+
+
+def random_conllu(rng, n_sentences):
+    """CONLL-U text with comments, multiword ranges, empty nodes and
+    malformed lines; its first token line is a plain token."""
+    lines = []
+    for _ in range(n_sentences):
+        if rng.random() < 0.3:
+            lines.append("# sent_id = s")
+        for i in range(1, rng.randint(1, 6) + 1):
+            token_id = str(i) if rng.random() < 0.8 or not lines \
+                else rng.choice([f"{i}-{i + 1}", f"{i}.1"])
+            columns = [token_id, rng.choice(ORACLE_LEMMAS), rng.choice(ORACLE_LEMMAS),
+                       rng.choice(ORACLE_UPOS), "_", rng.choice(ORACLE_FEATS), "0",
+                       rng.choice(ORACLE_DEPRELS), "_", "_"]
+            if lines and rng.random() < 0.03:
+                columns = columns[:9]
+            lines.append("\t".join(columns))
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def random_oracle_targets(rng):
+    targets, rules = [], set()
+    for number in rng.sample(range(100), rng.randint(1, 8)):
+        lemma, allowed = rng.choice(ORACLE_LEMMAS), rng.choice(ORACLE_FILTERS)
+        if (lemma.casefold(), allowed) not in rules:
+            rules.add((lemma.casefold(), allowed))
+            targets.append((f"w{number:02d}", lemma, allowed))
+    return targets
+
+
+def profile_counts(profiles):
+    return {key: (p.total, p.morph, p.synt) for key, p in profiles.items()}
+
+
+@pytest.mark.parametrize("case_fold", [False, True], ids=["exact", "case-fold"])
+@pytest.mark.parametrize("match_form", [False, True], ids=["lemma", "form"])
+@pytest.mark.parametrize("strip", [False, True], ids=["subtypes", "strip"])
+def test_extract_matches_oracle_on_random_corpora(case_fold, match_form, strip):
+    rng = random.Random(f"{case_fold}:{match_form}:{strip}")
+    matched = 0
+    for _ in range(25):
+        targets = random_oracle_targets(rng)
+        texts = {period: [random_conllu(rng, rng.randint(1, 12))
+                          for _ in range(rng.randint(1, 3))]
+                 for period in ("old", "mid", "new")}
+        profiles = extract_profiles(
+            {period: [io.StringIO(text) for text in each] for period, each in texts.items()},
+            [TargetSpec(*target) for target in targets], case_fold=case_fold,
+            match_field="form" if match_form else "lemma", strip_subtypes=strip)
+        assert profile_counts(profiles) == extract_oracle(
+            texts, targets, case_fold=case_fold, match_form=match_form,
+            strip_subtypes=strip)
+        matched += sum(p.total for p in profiles.values())
+    assert matched > 100
+
+
+def test_extract_matches_oracle_on_a_generated_dense_corpus(tmp_path):
+    truth = gen.generate("extract-dense", 3, tmp_path, 2000)
+    targets = []
+    for line in (tmp_path / "targets.tsv").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#"):
+            word_id, lemma, *upos = line.split("\t")
+            targets.append((word_id, lemma, frozenset(upos[0].split(",")) if upos else None))
+    files = {period: sorted(tmp_path.glob(f"{period}_*")) for period in truth["periods"]}
+    assert all(any(f.suffix == ".gz" for f in each) for each in files.values())
+    profiles = extract_profiles(files, [TargetSpec(*target) for target in targets],
+                                case_fold=True, strip_subtypes=True)
+    texts = {period: [gzip.decompress(f.read_bytes()).decode("utf-8") if f.suffix == ".gz"
+                      else f.read_text(encoding="utf-8") for f in each]
+             for period, each in files.items()}
+    expected = extract_oracle(texts, targets, case_fold=True, strip_subtypes=True)
+    assert profile_counts(profiles) == expected
+    assert expected == {(word_id, period): (r["total"], r["morph"], r["synt"])
+                        for word_id, periods in truth["profiles"].items()
+                        for period, r in periods.items()}
 
 
 def test_separate_categories_reference_counts():
