@@ -1,10 +1,11 @@
 """Streaming CONLL-U reader and target-word matching.
 
-Only the fields needed for grammatical profiling are kept per token:
-surface form, lemma, UPOS, the raw FEATS string and the dependency
-relation. Multiword-token ranges (``3-4``) and empty nodes (``5.1``)
-are skipped; their morphology is absent or redundant with the member
-tokens.
+A token is the list of its line's 10 tab-separated columns, as
+``str.split`` returned them; each sentence holds its tokens' split
+columns until it is counted. Stages read the columns through the
+indices below. Multiword-token ranges (``3-4``) and empty nodes
+(``5.1``) are skipped; their morphology is absent or redundant with
+the member tokens.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import gzip
 import io
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import IO, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .errors import INPUT_ENCODING, ConfigError, ConlluParseError
 from .tsv import read_tsv
@@ -22,21 +22,8 @@ from .tsv import read_tsv
 logger = logging.getLogger(__name__)
 
 N_COLUMNS = 10
-
-
-class Token(NamedTuple):
-    form: str
-    lemma: str
-    upos: str
-    feats: str        # raw FEATS column, "_" when empty
-    deprel: str
-
-
-# FORM, LEMMA, UPOS, FEATS and DEPREL out of the 10 CONLL-U columns, in
-# Token's field order; building the tuple directly skips NamedTuple's
-# keyword handling on the per-token path.
-_token_columns = itemgetter(1, 2, 3, 5, 7)
-_new_token = tuple.__new__
+# Indices of the columns a token is read by; FEATS is "_" when empty.
+FORM, LEMMA, UPOS, FEATS, DEPREL = 1, 2, 3, 5, 7
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,10 @@ def strip_deprel_subtype(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[Token]]:
-    """Parse CONLL-U text into sentences (lists of Token).
+def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[list[str]]]:
+    """Parse CONLL-U text into sentences: lists of tokens, each the list
+    of its line's 10 columns as split at tabs (MISC keeps the line
+    ending).
 
     ``stream`` is any iterable of lines (an open file works; a plain
     string is split into lines at ``\\n`` only, as a file would be).
@@ -95,15 +84,15 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[T
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     path = getattr(stream, "name", None)
-    sentence: list[Token] = []
+    sentence: list[list[str]] = []
     for line_number, line in enumerate(stream, start=1):
         columns = line.split("\t")
-        # A line ending only touches MISC, the tenth column, which is not
-        # kept; so a token line needs no rstrip.
+        # A line ending only touches MISC, the tenth column, which no
+        # stage reads; so a token line needs no rstrip.
         if len(columns) == N_COLUMNS and line[0] != "#":
             token_id = columns[0]
             if "-" not in token_id and "." not in token_id:  # not a range or empty node
-                sentence.append(_new_token(Token, _token_columns(columns)))
+                sentence.append(columns)
             continue
         line = line.rstrip("\n").rstrip("\r")
         if not line:
@@ -149,7 +138,7 @@ class TargetIndex:
         if match_field not in ("lemma", "form"):
             raise ConfigError(f"unknown match field {match_field!r}")
         self.case_fold = case_fold
-        self._field = Token._fields.index(match_field)
+        self._field = LEMMA if match_field == "lemma" else FORM
         seen_ids: set[str] = set()
         seen_rules: set[tuple[str, Optional[frozenset[str]]]] = set()
         self._by_lemma: dict[str, list[TargetSpec]] = {}
@@ -169,7 +158,7 @@ class TargetIndex:
         for candidates in self._by_lemma.values():
             candidates.sort(key=lambda s: (s.upos_filter is None, s.word_id))
 
-    def match(self, sentence: Iterable[Token]) -> Iterator[tuple[str, Token]]:
+    def match(self, sentence: Iterable[list[str]]) -> Iterator[tuple[str, list[str]]]:
         lookup = self._by_lemma.get
         field = self._field
         case_fold = self.case_fold
@@ -179,7 +168,7 @@ class TargetIndex:
                 value = value.casefold()
             candidates = lookup(value)
             if candidates:
-                upos = token[2]  # Token.upos
+                upos = token[UPOS]
                 for spec in candidates:
                     if spec.upos_filter is None or upos in spec.upos_filter:
                         yield spec.word_id, token

@@ -17,8 +17,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, TextIO
 
-from .conllu import TargetIndex, TargetSpec, open_corpus, parse_conllu, parse_feats, \
-    strip_deprel_subtype
+from .conllu import DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus, parse_conllu, \
+    parse_feats, strip_deprel_subtype
 from .errors import ConfigError, DataError, reading
 
 logger = logging.getLogger(__name__)
@@ -146,12 +146,12 @@ def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSp
             for sentence in _iter_source(source, period, errors):
                 tokens += len(sentence)
                 for word_id, token in index.match(sentence):
-                    label = labels.get(token.deprel)
+                    deprel = token[DEPREL]
+                    label = labels.get(deprel)
                     if label is None:
-                        label = strip_deprel_subtype(token.deprel) if strip_subtypes \
-                            else token.deprel
-                        label = labels[token.deprel] = shared.setdefault(label, label)
-                    feats = token.feats
+                        label = strip_deprel_subtype(deprel) if strip_subtypes else deprel
+                        label = labels[deprel] = shared.setdefault(label, label)
+                    feats = token[FEATS]
                     by_word[word_id].add_token(shared.setdefault(feats, feats), label)
         _check_period(period, sources, tokens, by_word.values())
         profiles.update(((word_id, period), p) for word_id, p in by_word.items())

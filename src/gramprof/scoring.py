@@ -209,15 +209,20 @@ def score_period_pair(profiles: Mapping[tuple[str, str], Profile],
                       pair: tuple[str, str], config: MethodConfig
                       ) -> list[ChangeScore]:
     """Score every word of a profile mapping for one period pair,
-    sorted by word_id."""
+    sorted by word_id.
+
+    A period in which no word occurs raises DataError: every word would
+    get the zero-profile distance, a ranking that says nothing."""
     period_a, period_b = pair
     word_ids = sorted({word_id for word_id, _ in profiles})
-    scores = []
+    pairs = []
     for word_id in word_ids:
         try:
-            profile_a = profiles[(word_id, period_a)]
-            profile_b = profiles[(word_id, period_b)]
+            pairs.append((profiles[(word_id, period_a)], profiles[(word_id, period_b)]))
         except KeyError as exc:
             raise DataError(f"missing profile for word {word_id!r}: {exc}")
-        scores.append(score_word_pair(profile_a, profile_b, config))
-    return scores
+    for period, period_profiles in zip(pair, zip(*pairs)):
+        if not any(profile.total for profile in period_profiles):
+            raise DataError(f"period {period!r}: no target word occurs in it, so the "
+                            f"pair {period_a!r}-{period_b!r} cannot be scored")
+    return [score_word_pair(profile_a, profile_b, config) for profile_a, profile_b in pairs]

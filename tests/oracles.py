@@ -97,11 +97,12 @@ def conllu_oracle(lines):
     """Line-by-line CONLL-U reader: strip the line ending, end the
     sentence on a blank line, skip ``#`` comments, split into columns,
     record lines without exactly 10 columns as malformed, skip ids with
-    ``-`` or ``.``. Returns (sentences of (form, lemma, upos, feats,
-    deprel) tuples, 1-based numbers of the malformed lines)."""
+    ``-`` or ``.``. Returns (sentences of tokens, 1-based numbers of the
+    malformed lines); a token is its line, ending included, split at
+    tabs."""
     sentences, sentence, malformed = [], [], []
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
+    for number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
         if not line:
             if sentence:
                 sentences.append(sentence)
@@ -115,7 +116,7 @@ def conllu_oracle(lines):
             continue
         if "-" in columns[0] or "." in columns[0]:
             continue
-        sentence.append(tuple(columns[i] for i in (1, 2, 3, 5, 7)))
+        sentence.append(raw.split("\t"))
     if sentence:
         sentences.append(sentence)
     return sentences, malformed
@@ -177,7 +178,8 @@ def extract_oracle(corpora, targets, case_fold=False, match_form=False,
     for period, texts in corpora.items():
         for text in texts:
             sentences, _ = conllu_oracle(text.split("\n"))
-            for form, lemma, upos, feats, deprel in (t for s in sentences for t in s):
+            for columns in (t for s in sentences for t in s):
+                form, lemma, upos, feats, deprel = (columns[i] for i in (1, 2, 3, 5, 7))
                 candidates = sorted((allowed is None, word_id) for word_id, allowed
                                     in by_key.get(key(form if match_form else lemma), [])
                                     if allowed is None or upos in allowed)

@@ -1097,3 +1097,30 @@ def test_period_that_cannot_give_a_profile(tmp_path, new, code, message):
     assert len([line for line in lines
                 if line.startswith(message.format(new=d / "new.conllu"))]) == 1, err
     assert (d / "out").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "{store}"],
+    ["analyze", "{store}", "{gold}", "--report", "logreg"],
+], ids=["score", "analyze"])
+@pytest.mark.parametrize("empty", ["new", "none"])
+def test_pair_with_a_period_no_word_occurs_in_exits_1(tmp_path, argv, empty):
+    # Every word's profile in that period is empty: each would get the
+    # zero-profile distance and the ranking would say nothing.
+    counts = {"old": {"a": 3, "b": 2}, "new": {"a": 0 if empty == "new" else 2, "b": 0}}
+    store = ProfileStore(["old", "new"], {
+        (word_id, period): Profile(word_id, period, {"Number=Sing": n} if n else {},
+                                   {"nsubj": n} if n else {}, n)
+        for period, totals in counts.items() for word_id, n in totals.items()})
+    with open(tmp_path / "store.jsonl", "w", encoding="utf-8") as f:
+        store.save(f)
+    (tmp_path / "gold.tsv").write_text("a\t1\t0.9\nb\t0\t0.1\n", encoding="utf-8")
+    code, err = run_process([a.format(store=tmp_path / "store.jsonl", gold=tmp_path / "gold.tsv")
+                             for a in argv])
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if empty == "none":
+        assert code == 0 and not errors, err
+        return
+    assert code == 1, err
+    assert errors == ["error: period 'new': no target word occurs in it, "
+                      "so the pair 'old'-'new' cannot be scored"], err

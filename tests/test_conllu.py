@@ -1,10 +1,11 @@
 import gzip
 import io
 import random
+import re
 
 import pytest
 
-from gramprof.conllu import (TargetIndex, TargetSpec, Token, load_targets,
+from gramprof.conllu import (FEATS, FORM, TargetIndex, TargetSpec, load_targets,
                              open_corpus, parse_conllu, parse_feats,
                              strip_deprel_subtype)
 from gramprof.errors import ConfigError, ConlluParseError
@@ -34,6 +35,17 @@ def parse_text(text, **kwargs):
     return list(parse_conllu(io.StringIO(text), **kwargs))
 
 
+def row(form, lemma, upos, feats, deprel, token_id="1", head="0"):
+    """A token as parse_conllu yields it: the 10 cells of its line, the
+    last (MISC) with the line ending."""
+    return [token_id, form, lemma, upos, "_", feats, head, deprel, "_", "_\n"]
+
+
+def lines_of(text):
+    """``text`` cut after each "\n", as a text stream reads it."""
+    return re.split(r"(?<=\n)", text)
+
+
 def match(sentence, targets, **kwargs):
     return list(TargetIndex(targets, **kwargs).match(sentence))
 
@@ -43,15 +55,16 @@ def test_parse_two_sentences():
     assert len(sentences) == 2
     assert len(sentences[0]) == 2
     first = sentences[0][0]
-    assert first == Token("Lasses", "lass", "NOUN", "Number=Plur", "nsubj")
-    assert sentences[0][1].feats == "Mood=Ind|Tense=Past|VerbForm=Fin"
+    assert first == ["1", "Lasses", "lass", "NOUN", "NN", "Number=Plur", "2", "nsubj",
+                     "_", "_\n"]
+    assert sentences[0][1][FEATS] == "Mood=Ind|Tense=Past|VerbForm=Fin"
 
 
 def test_empty_feats_token():
     sentences = parse_text(SAMPLE)
     det = sentences[1][0]
-    assert det.feats == "_"
-    assert parse_feats(det.feats) == []
+    assert det[FEATS] == "_"
+    assert parse_feats(det[FEATS]) == []
 
 
 def test_parse_feats_pairs():
@@ -66,7 +79,7 @@ def test_parse_feats_skips_malformed_entry(caplog):
 def test_multiword_ranges_and_empty_nodes_skipped():
     sentences = parse_text(MWT_SAMPLE)
     assert len(sentences) == 1
-    assert [t.form for t in sentences[0]] == ["do", "n't", "go"]
+    assert [t[FORM] for t in sentences[0]] == ["do", "n't", "go"]
 
 
 def test_malformed_line_strict():
@@ -134,7 +147,24 @@ def test_parser_matches_line_oracle(seed, caplog):
         # A plain string is split at "\n" only, so a "\r" inside a cell
         # stays in its line.
         text = "".join(lines)
-        assert list(parse_conllu(text)) == conllu_oracle(text.split("\n"))[0]
+        assert list(parse_conllu(text)) == conllu_oracle(lines_of(text))[0]
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
+def test_each_token_is_its_line_split_at_tabs(tmp_path, suffix):
+    text = SAMPLE + "\n" + MWT_SAMPLE + "\n1\tlast\tlast\tX\t_\t_\t0\troot\t_\tNoEnd"
+    path = tmp_path / f"corpus.conllu{suffix}"
+    with (gzip.open(path, "wt", encoding="utf-8") if suffix
+          else open(path, "w", encoding="utf-8")) as f:
+        f.write(text)
+    with open_corpus(path) as f:
+        tokens = [token for sentence in parse_conllu(f) for token in sentence]
+    kept = [line for line in lines_of(text)
+            if line[:1].isdigit() and not re.match(r"\d+[-.]", line)]
+    assert len(kept) == 8
+    assert all(type(token) is list and len(token) == 10 for token in tokens)
+    assert tokens == [line.split("\t") for line in kept]
+    assert [token[9] for token in tokens] == ["_\n"] * 7 + ["NoEnd"]
 
 
 def test_plain_string_splits_only_at_newline(caplog):
@@ -144,14 +174,14 @@ def test_plain_string_splits_only_at_newline(caplog):
         form = f"A{char}b"
         with caplog.at_level("WARNING", logger="gramprof.conllu"):
             sentences = list(parse_conllu(f"1\t{form}\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"))
-        assert sentences == [[Token(form, "a", "NOUN", "_", "root")]]
+        assert sentences == [[row(form, "a", "NOUN", "_", "root")]]
     assert not caplog.records
 
 
 def test_non_integer_head_still_yields_token():
     line = "1\tword\tword\tNOUN\t_\t_\t_\tdep\t_\t_\n"
     [sentence] = parse_text(line)
-    assert sentence == [Token("word", "word", "NOUN", "_", "dep")]
+    assert sentence == [row("word", "word", "NOUN", "_", "dep", head="_")]
 
 
 def test_round_trip():
@@ -160,19 +190,14 @@ def test_round_trip():
                   "Gender=Fem|Mood=Ind|Tense=Past"]
     for _ in range(50):
         sentence = [
-            Token(
-                form=f"w{i}", lemma=f"l{rng.randrange(5)}",
+            row(form=f"w{i}", lemma=f"l{rng.randrange(5)}",
                 upos=rng.choice(["NOUN", "VERB", "ADJ"]),
                 feats=rng.choice(feats_pool),
                 deprel=rng.choice(["nsubj", "obj", "obl:tmod", "root"]),
-            )
-            for i in range(rng.randrange(1, 6))
+                token_id=str(i), head=str(rng.randrange(0, 4)))
+            for i in range(1, rng.randrange(2, 7))
         ]
-        text = "".join(
-            f"{i}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t{t.feats}\t{rng.randrange(0, 4)}"
-            f"\t{t.deprel}\t_\t_\n"
-            for i, t in enumerate(sentence, start=1)
-        )
+        text = "".join("\t".join(token) for token in sentence)
         assert parse_text(text) == [sentence]
 
 
@@ -188,27 +213,27 @@ def test_matching_order_independent():
 
 
 def test_upos_filter_excludes():
-    sentence = [Token("stabbed", "stab", "VERB", "Tense=Past", "root")]
+    sentence = [row("stabbed", "stab", "VERB", "Tense=Past", "root")]
     matches = match(sentence, [TargetSpec("stab_nn", "stab", frozenset({"NOUN"}))])
     assert matches == []
 
 
 def test_case_folding():
-    sentence = [Token("Lass", "Lass", "NOUN", "_", "root")]
+    sentence = [row("Lass", "Lass", "NOUN", "_", "root")]
     assert match(sentence, [TargetSpec("lass", "lass")]) == []
     matches = match(sentence, [TargetSpec("lass", "lass")], case_fold=True)
     assert [word_id for word_id, _ in matches] == ["lass"]
 
 
 def test_match_on_form():
-    sentence = [Token("went", "go", "VERB", "_", "root")]
+    sentence = [row("went", "go", "VERB", "_", "root")]
     matches = match(sentence, [TargetSpec("went", "went")], match_field="form")
     assert [word_id for word_id, _ in matches] == ["went"]
     assert match(sentence, [TargetSpec("go", "go")], match_field="form") == []
 
 
 def test_filtered_target_takes_precedence():
-    sentence = [Token("stab", "stab", "NOUN", "_", "root")]
+    sentence = [row("stab", "stab", "NOUN", "_", "root")]
     targets = [TargetSpec("stab_any", "stab"),
                TargetSpec("stab_nn", "stab", frozenset({"NOUN"}))]
     assert match(sentence, targets) == [("stab_nn", sentence[0])]

@@ -9,7 +9,8 @@ import pytest
 
 from gramprof import profiles as profiles_module
 from gramprof.cli import main
-from gramprof.conllu import TargetSpec
+from gramprof.conllu import (DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus,
+                             parse_conllu)
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
                                extract_profiles, separate_categories)
@@ -223,6 +224,49 @@ def test_extract_matches_oracle_on_random_corpora(case_fold, match_form, strip):
             strip_subtypes=strip)
         matched += sum(p.total for p in profiles.values())
     assert matched > 100
+
+
+def test_match_and_extract_on_gz_rows_match_oracle(tmp_path):
+    # --match-form and --case-fold over files half of them .gz: the hits
+    # TargetIndex.match yields on parse_conllu's rows, counted here by
+    # their FEATS and DEPREL columns, and extract_profiles' counts both
+    # equal the oracle's.
+    rng = random.Random("gz-rows")
+    texts = {period: [random_conllu(rng, 40) for _ in range(4)] for period in ("old", "new")}
+    files = {}
+    for period, each in texts.items():
+        files[period] = []
+        for number, text in enumerate(each):
+            path = tmp_path / f"{period}_{number}.conllu"
+            if number % 2:
+                path = path.with_suffix(".conllu.gz")
+                path.write_bytes(gzip.compress(text.encode("utf-8")))
+            else:
+                path.write_text(text, encoding="utf-8")
+            files[period].append(path)
+    targets = [("w1", "lass", None), ("w2", "STAB", frozenset({"NOUN"})),
+               ("w3", "stab", None), ("w4", "Straße", frozenset({"VERB", "ADJ"}))]
+    specs = [TargetSpec(*target) for target in targets]
+    expected = extract_oracle(texts, targets, case_fold=True, match_form=True)
+
+    index = TargetIndex(specs, case_fold=True, match_field="form")
+    hits = {key: [0, {}, {}] for key in expected}
+    for period, paths in files.items():
+        for path in paths:
+            with open_corpus(path) as f:
+                for sentence in parse_conllu(f):
+                    for word_id, token in index.match(sentence):
+                        assert type(token) is list and len(token) == 10
+                        entry = hits[(word_id, period)]
+                        entry[0] += 1
+                        entry[2][token[DEPREL]] = entry[2].get(token[DEPREL], 0) + 1
+                        if token[FEATS] != "_":
+                            entry[1][token[FEATS]] = entry[1].get(token[FEATS], 0) + 1
+    assert {key: tuple(entry) for key, entry in hits.items()} == expected
+
+    profiles = extract_profiles(files, specs, case_fold=True, match_field="form")
+    assert profile_counts(profiles) == expected
+    assert sum(total for total, _, _ in expected.values()) > 50
 
 
 def test_extract_matches_oracle_on_a_generated_dense_corpus(tmp_path):
