@@ -124,21 +124,22 @@ def standardize(matrix: FeatureMatrix) -> tuple[FeatureMatrix, list[str]]:
     """Zero-center each column and scale it to unit variance
     (population variance, divisor N).
 
-    Constant columns cannot be scaled; they become all-zero and are
-    returned as the flagged list.
+    Constant columns (all values equal) cannot be scaled; they become
+    all-zero and are returned as the flagged list.
     """
     if len(matrix.word_ids) < 2:
         raise DataError("standardization needs at least 2 rows")
     values = matrix.values.copy()
     constant = []
     for j, column in enumerate(matrix.columns):
-        mean = values[:, j].mean()
-        std = values[:, j].std()  # population std, ddof=0
-        if std == 0.0:
+        cells = values[:, j]
+        # A column of equal values can have a std of 1e-17 rather than
+        # 0 (0.1 at 7 rows), so it is caught by its values.
+        if (cells == cells[0]).all():
             values[:, j] = 0.0
             constant.append(column)
-        else:
-            values[:, j] = (values[:, j] - mean) / std
+        else:  # population std, ddof=0
+            values[:, j] = (cells - cells.mean()) / cells.std()
     out = FeatureMatrix(list(matrix.word_ids), list(matrix.columns), values,
                         matrix.missing.copy())
     return out, constant

@@ -10,6 +10,7 @@ the member tokens.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import logging
@@ -40,24 +41,28 @@ class TargetSpec:
             raise ConfigError("target with empty word_id")
         if not self.lemma:
             raise ConfigError(f"target {self.word_id!r} has an empty lemma")
+        if self.upos_filter is not None and not self.upos_filter:
+            raise ConfigError(f"target {self.word_id!r} has a POS filter with no tag")
 
 
-def parse_feats(feats: str) -> list[tuple[str, str]]:
-    """Decompose a FEATS string into (category, value) pairs.
+@functools.lru_cache(maxsize=1 << 16)
+def parse_feats(feats: str) -> tuple[str, ...]:
+    """The well-formed ``K=V`` entries of a FEATS string, in order.
 
-    Entries without ``=`` are skipped with a warning; ``_`` yields an
-    empty list.
+    ``_`` and the empty string hold none. An entry without ``=`` or
+    with an empty key is skipped with a warning. The result is cached
+    per string, so a string's warnings come when it is first split, and
+    again only after it is evicted or the cache is cleared.
     """
     if feats == "_" or feats == "":
-        return []
-    pairs = []
+        return ()
+    items = []
     for item in feats.split("|"):
-        key, sep, value = item.partition("=")
-        if not sep or not key:
+        if item.find("=") < 1:  # no "=", or an empty key
             logger.warning("skipping malformed FEATS entry %r in %r", item, feats)
             continue
-        pairs.append((key, value))
-    return pairs
+        items.append(item)
+    return tuple(items)
 
 
 def strip_deprel_subtype(deprel: str) -> str:

@@ -8,20 +8,14 @@ within-segment squared deviation from the segment means.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DataError
 from .evaluation import check_same_words
+from .scoring import _decimal_ratio
 
 Ranking = list[tuple[str, float]]
-
-
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer with .5 going up (no banker's
-    rounding)."""
-    return int(math.floor(x + 0.5))
 
 
 def rank_words(scores: Mapping[str, float]) -> Ranking:
@@ -33,10 +27,12 @@ def rank_words(scores: Mapping[str, float]) -> Ranking:
 
 def classify_topn(ranking: Ranking, ratio: float) -> dict[str, int]:
     """Label the top round(ratio * N) words as changed (1), the rest
-    stable (0)."""
+    stable (0). The count is exact, with the ratio read as its decimal
+    and a half rounded up: 0.29 of 50 words is 14.5, so 15."""
     if not 0.0 <= ratio <= 1.0:
         raise DataError(f"ratio must be in [0, 1], got {ratio}")
-    n = round_half_up(ratio * len(ranking))
+    num, den = _decimal_ratio(ratio)
+    n = (2 * num * len(ranking) + den) // (2 * den)
     return {word_id: (1 if i < n else 0) for i, (word_id, _) in enumerate(ranking)}
 
 
@@ -70,8 +66,13 @@ def classify_changepoint(ranking: Ranking) -> dict[str, int]:
 
 def average_binary(labels_morph: Mapping[str, int],
                    labels_synt: Mapping[str, int]) -> dict[str, int]:
-    """Combine two binary labelings by averaging and rounding half up,
-    so (1, 0) resolves to 1."""
+    """Combine two binary labelings as their average rounded half up:
+    a word is changed (1) when either labeling says so. A label other
+    than 0 or 1 raises DataError."""
     check_same_words(labels_morph, labels_synt, "label")
-    return {word_id: round_half_up((labels_morph[word_id] + labels_synt[word_id]) / 2.0)
+    for labels in (labels_morph, labels_synt):
+        for word_id, label in labels.items():
+            if label not in (0, 1):
+                raise DataError(f"word {word_id!r}: label {label!r} is not 0 or 1")
+    return {word_id: max(labels_morph[word_id], labels_synt[word_id])
             for word_id in labels_morph}

@@ -55,41 +55,22 @@ class Profile:
             )
 
 
-# FEATS string -> its "K=V" items, for strings that split without
-# dropping an entry. A store repeats few distinct FEATS strings across its
-# profiles (752 distinct in 144,054 entries on the benchmark's store), so
-# each is split once rather than once per profile. A malformed string is
-# never stored: every occurrence goes through parse_feats again and logs
-# its own warning. The memo lives as long as the process and is emptied
-# when it reaches _FEATS_MEMO_LIMIT entries, which bounds it.
-_feats_memo: dict[str, list[str]] = {}
-_FEATS_MEMO_LIMIT = 1 << 16
-
-
 def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
     """Split combined FEATS counts into per-category value counts:
     category -> value -> count.
 
     Each FEATS string ``K1=V1|K2=V2`` with count c adds c to every
-    (Ki, Vi) cell, so per-category sums are preserved. Malformed FEATS
-    entries (no ``=``) are skipped with a warning.
+    (Ki, Vi) cell, so per-category sums are preserved. The entries are
+    those ``parse_feats`` keeps: a malformed one (no ``=``, or an empty
+    key) is skipped, and warned about when its string is first split.
     """
-    memo = _feats_memo
     item_counts: dict[str, int] = {}
     get = item_counts.get
     for feats, count in profile.morph.items():
-        items = memo.get(feats)
-        if items is None:
-            pairs = parse_feats(feats)
-            items = [key + "=" + value for key, value in pairs]
-            if len(pairs) == feats.count("|") + 1:  # no entry dropped
-                if len(memo) >= _FEATS_MEMO_LIMIT:
-                    memo.clear()
-                memo[feats] = items
-        for item in items:
+        for item in parse_feats(feats):
             item_counts[item] = get(item, 0) + count
     # Each item is a distinct (category, value) cell; its category ends
-    # at the first "=", as in parse_feats.
+    # at the first "=".
     categories: dict[str, dict[str, int]] = {}
     for item, count in item_counts.items():
         key, _, value = item.partition("=")

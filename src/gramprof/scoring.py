@@ -88,10 +88,11 @@ def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
 
 
 @functools.lru_cache(maxsize=64)
-def _decimal_ratio(threshold: float) -> tuple[int, int]:
-    """The threshold as the decimal it was written as: 0.07 gives
-    (7, 100), not the binary float just above 7/100."""
-    return Fraction(str(threshold)).as_integer_ratio()
+def _decimal_ratio(share: float) -> tuple[int, int]:
+    """A share (a filter threshold, a top-n ratio) as the decimal it was
+    written as: 0.07 gives (7, 100), not the binary float just above
+    7/100."""
+    return Fraction(str(share)).as_integer_ratio()
 
 
 def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],

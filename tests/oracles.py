@@ -93,6 +93,13 @@ def filter_keeps_oracle(joint, total, threshold):
     return not Fraction(joint) < Fraction(str(threshold)) * total
 
 
+def topn_count_oracle(ratio, n):
+    """How many of n words the top-n rule labels changed: ratio times n,
+    with the ratio read as the decimal it is written as, rounded half up
+    in exact rationals."""
+    return math.floor(Fraction(str(ratio)) * n + Fraction(1, 2))
+
+
 def conllu_oracle(lines):
     """Line-by-line CONLL-U reader: strip the line ending, end the
     sentence on a blank line, skip ``#`` comments, split into columns,

@@ -55,6 +55,29 @@ def test_standardize_constant_column_flagged():
     assert np.all(out.values[:, 0] == 0.0)
 
 
+@pytest.mark.parametrize("value, rows", [(0.1, 7), (0.7, 100), (0.9, 2999), (0.3, 2999)])
+def test_standardize_flags_a_constant_column_whose_float_std_is_not_0(value, rows):
+    values = np.column_stack([np.full(rows, value), np.arange(rows, dtype=np.float64)])
+    assert values[:, 0].std() != 0.0  # the rounding this test is about
+    out, constant = standardize(matrix_from(values, columns=["flat", "varies"]))
+    assert constant == ["flat"]
+    assert np.all(out.values[:, 0] == 0.0)
+
+
+def test_constant_column_gets_no_weight():
+    rng = random.Random(21)
+    word_ids = [f"w{i:02d}" for i in range(20)]
+    labels = {w: int(i < 8) for i, w in enumerate(word_ids)}
+    syntax = [0.6 + rng.random() * 0.3 if labels[w] else rng.random() * 0.5 for w in word_ids]
+    matrix = matrix_from([[0.1, d] for d in syntax], columns=["Case", "syntax"],
+                         word_ids=word_ids)
+    standardized, constant = standardize(matrix)
+    assert constant == ["Case"]
+    result = train_logreg(standardized, labels)
+    assert result.coefficients[0] == 0.0
+    assert result.positive_categories == ["syntax"]
+
+
 def test_standardize_moments():
     rng = np.random.default_rng(16)
     matrix = matrix_from(rng.random((40, 5)))

@@ -1002,11 +1002,13 @@ def test_byte_order_mark_reads_as_the_file_without_it(demo, tmp_path, name, argv
 @pytest.mark.parametrize("name, line, argv, code", [
     ("targets.tsv", "w1\t\t\n", ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"],
      2),
+    ("targets.tsv", "walk_any\twalk\t,\n", ["extract", "-c", "{d}/dataset.yml", "-o",
+                                            "{d}/out"], 2),
     ("gold.tsv", "w\t-\t-\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"],
      1),
     ("gold.tsv", "w\t2\t0.5\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task",
                                   "graded"], 1),
-], ids=["empty-lemma", "no-gold-value", "binary-not-0-or-1"])
+], ids=["empty-lemma", "empty-pos-filter", "no-gold-value", "binary-not-0-or-1"])
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, line,
                                                   argv, code):
     d = demo_copy(tmp_path)

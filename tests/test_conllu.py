@@ -64,16 +64,22 @@ def test_empty_feats_token():
     sentences = parse_text(SAMPLE)
     det = sentences[1][0]
     assert det[FEATS] == "_"
-    assert parse_feats(det[FEATS]) == []
+    assert parse_feats(det[FEATS]) == ()
+    assert parse_feats("") == ()
 
 
 def test_parse_feats_pairs():
-    assert parse_feats("Mood=Ind|Tense=Past|VerbForm=Fin") == [
-        ("Mood", "Ind"), ("Tense", "Past"), ("VerbForm", "Fin")]
+    assert parse_feats("Mood=Ind|Tense=Past|VerbForm=Fin") == (
+        "Mood=Ind", "Tense=Past", "VerbForm=Fin")
+    assert parse_feats("Foo=a=b|Polite=") == ("Foo=a=b", "Polite=")
 
 
 def test_parse_feats_skips_malformed_entry(caplog):
-    assert parse_feats("Number=Sing|Oops") == [("Number", "Sing")]
+    with caplog.at_level("WARNING", logger="gramprof.conllu"):
+        assert parse_feats("Number=Sing|Oops|=x||Case=Dat") == ("Number=Sing", "Case=Dat")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping malformed FEATS entry {item!r} in 'Number=Sing|Oops|=x||Case=Dat'"
+        for item in ("Oops", "=x", "")]
 
 
 def test_multiword_ranges_and_empty_nodes_skipped():
@@ -254,6 +260,11 @@ def test_duplicate_word_id_rejected():
 def test_empty_lemma_rejected():
     with pytest.raises(ConfigError):
         TargetSpec("a", "")
+
+
+def test_pos_filter_without_a_tag_rejected():
+    with pytest.raises(ConfigError, match="POS filter with no tag"):
+        TargetSpec("a", "a", frozenset())
 
 
 def test_strip_deprel_subtype():

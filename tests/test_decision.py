@@ -2,23 +2,14 @@ import random
 
 import pytest
 
-from gramprof.decision import (average_binary, classify_changepoint, classify_topn,
-                               rank_words, round_half_up)
+from gramprof.decision import average_binary, classify_changepoint, classify_topn, rank_words
 from gramprof.errors import DataError
 
-from oracles import best_split_oracle
+from oracles import best_split_oracle, topn_count_oracle
 
 
 def ranking_of(scores):
     return rank_words(scores)
-
-
-def test_round_half_up():
-    assert round_half_up(15.91) == 16
-    assert round_half_up(0.5) == 1
-    assert round_half_up(1.5) == 2
-    assert round_half_up(2.49) == 2
-    assert round_half_up(0.0) == 0
 
 
 def test_rank_words_descending():
@@ -69,7 +60,21 @@ def test_classify_topn_count_property():
         ranking = [(f"w{i:03d}", rng.random()) for i in range(n)]
         ranking.sort(key=lambda item: (-item[1], item[0]))
         labels = classify_topn(ranking, ratio)
-        assert sum(labels.values()) == round_half_up(ratio * n)
+        assert sum(labels.values()) == topn_count_oracle(ratio, n)
+
+
+def test_classify_topn_reads_the_ratio_as_its_decimal():
+    """0.29 * 50 is 14.499999999999998 in floats, but 0.29 of 50 words
+    is 14.5, which rounds half up to 15."""
+    assert sum(classify_topn([(f"w{i:02d}", 1.0) for i in range(50)], 0.29).values()) == 15
+    for n in range(1, 201):
+        ranking = [(f"w{i:03d}", 1.0 - i / 1000) for i in range(n)]
+        for hundredths in range(1, 100):
+            ratio = hundredths / 100
+            labels = classify_topn(ranking, ratio)
+            count = topn_count_oracle(ratio, n)
+            assert [labels[w] for w, _ in ranking] == [1] * count + [0] * (n - count), \
+                (ratio, n)
 
 
 def test_classify_topn_bad_ratio():
@@ -161,6 +166,14 @@ def test_average_binary():
     assert average_binary({"a": 0}, {"a": 0}) == {"a": 0}
     assert average_binary({"a": 1}, {"a": 0}) == {"a": 1}
     assert average_binary({"a": 0}, {"a": 1}) == {"a": 1}
+
+
+@pytest.mark.parametrize("label", [2, -1, 0.5])
+def test_average_binary_rejects_a_label_that_is_not_0_or_1(label):
+    with pytest.raises(DataError, match="is not 0 or 1"):
+        average_binary({"a": 0, "b": label}, {"a": 0, "b": 0})
+    with pytest.raises(DataError, match="is not 0 or 1"):
+        average_binary({"a": 0, "b": 0}, {"a": 0, "b": label})
 
 
 def test_average_binary_key_mismatch():

@@ -10,12 +10,12 @@ import pytest
 from gramprof import profiles as profiles_module
 from gramprof.cli import main
 from gramprof.conllu import (DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus,
-                             parse_conllu)
+                             parse_conllu, parse_feats)
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import (Profile, ProfileStore, build_vectors,
                                extract_profiles, separate_categories)
 from oracles import extract_oracle, separate_categories_oracle
-from synth import random_store
+from synth import ODD_FEATS, random_store
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -320,6 +320,21 @@ FEATS_POOL = ["Number=Sing", "Case=Nom|Number=Plur", "Case=Nom|Case=Acc",
               "Broken"]
 
 
+def separates_like_the_oracle(profiles, seen, caplog):
+    """Check separate_categories against the oracle on each profile in
+    turn, and that it warns once per malformed entry of each FEATS
+    string not in ``seen``, the strings split since the parse_feats
+    cache was last cleared; ``seen`` is updated."""
+    for profile in profiles:
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gramprof.conllu"):
+            separated = separate_categories(profile)
+        assert separated == separate_categories_oracle(profile.morph)[0]
+        new = set(profile.morph) - seen
+        assert len(caplog.records) == separate_categories_oracle(dict.fromkeys(new, 1))[1]
+        seen |= new
+
+
 def test_separate_categories_matches_oracle_in_any_call_order(caplog):
     rng = random.Random(23)
     profiles = []
@@ -328,30 +343,27 @@ def test_separate_categories_matches_oracle_in_any_call_order(caplog):
                  for feats in rng.sample(FEATS_POOL, rng.randrange(0, 6))}
         total = sum(morph.values()) + rng.randrange(0, 5)
         profiles.append(Profile(f"w{i}", "t", morph, {"root": total}, total))
-    expected = [separate_categories_oracle(p.morph) for p in profiles]
+    seen = set()
     for _ in range(4):
-        order = list(range(len(profiles)))
-        rng.shuffle(order)
-        for i in order:
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="gramprof.conllu"):
-                separated = separate_categories(profiles[i])
-            categories, dropped = expected[i]
-            assert separated == categories
-            assert len(caplog.records) == dropped
+        rng.shuffle(profiles)
+        separates_like_the_oracle(profiles, seen, caplog)
+    assert seen == set(FEATS_POOL)
 
 
-def test_shared_malformed_feats_warns_per_occurrence_on_every_call(caplog):
+def test_malformed_feats_warns_once_per_string_until_the_cache_is_cleared(caplog):
     first = Profile("a", "t", {"Number=Sing|Oops": 2, "Case=Nom": 1}, {"root": 3}, 3)
-    second = Profile("b", "t", {"Number=Sing|Oops": 5}, {"root": 5}, 5)
-    for _ in range(3):
-        for profile in (first, second):
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="gramprof.conllu"):
-                separated = separate_categories(profile)
-            assert [r.getMessage() for r in caplog.records] == [
-                "skipping malformed FEATS entry 'Oops' in 'Number=Sing|Oops'"]
-            assert separated["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
+    second = Profile("b", "t", {"Number=Sing|Oops": 5, "Oops": 1}, {"root": 6}, 6)
+    warning = "skipping malformed FEATS entry 'Oops' in {!r}"
+    for _ in range(2):
+        parse_feats.cache_clear()
+        for call in range(3):
+            for profile, new in ((first, "Number=Sing|Oops"), (second, "Oops")):
+                caplog.clear()
+                with caplog.at_level("WARNING", logger="gramprof.conllu"):
+                    separated = separate_categories(profile)
+                assert [r.getMessage() for r in caplog.records] == \
+                    ([warning.format(new)] if call == 0 else [])
+                assert separated["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
 
 
 def test_count_preservation_random():
@@ -601,25 +613,16 @@ def test_loaded_tables_share_one_object_per_distinct_key():
         assert len({id(key) for key in keys}) == len(set(keys))
 
 
-def test_separation_matches_oracle_while_memo_clears(monkeypatch, caplog):
-    limit = 2
-    monkeypatch.setattr(profiles_module, "_FEATS_MEMO_LIMIT", limit)
-    monkeypatch.setattr(profiles_module, "_feats_memo", {})
+def test_separation_matches_oracle_with_a_cold_warm_and_cleared_cache(caplog):
     store = random_store(random.Random(10), 80, ["c1", "c2"])
-    all_feats = {feats for p in store.profiles.values() for feats in p.morph}
-    assert {"Foo=a=b", "Case=Nom|Case=Acc", "Case=Acc|Case=Acc", "Number=Sing|Oops"} \
-        <= all_feats
-    clears, previous = 0, 0
-    for _ in range(2):
-        for profile in store.profiles.values():
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="gramprof.conllu"):
-                separated = separate_categories(profile)
-            categories, dropped = separate_categories_oracle(profile.morph)
-            assert separated == categories
-            assert len(caplog.records) == dropped
-            size = len(profiles_module._feats_memo)
-            assert size <= limit
-            clears += size < previous
-            previous = size
-    assert clears > 10
+    profiles = list(store.profiles.values())
+    assert set(ODD_FEATS) <= {feats for p in profiles for feats in p.morph}
+    seen = set()
+    separates_like_the_oracle(profiles, seen, caplog)  # cold
+    separates_like_the_oracle(profiles, seen, caplog)  # warm: no warning
+    middle = len(profiles) // 2
+    separates_like_the_oracle(profiles[:middle], seen, caplog)
+    parse_feats.cache_clear()
+    seen = set()
+    separates_like_the_oracle(profiles[middle:], seen, caplog)
+    separates_like_the_oracle(profiles[:middle], seen, caplog)
