@@ -267,7 +267,8 @@ def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
 
     Permuting values permutes their ranks, and rank means and variances
     are permutation invariant, so only the rank dot product has to be
-    recomputed per permutation.
+    recomputed per permutation. Average ranks are integers or halves,
+    so doubled centred ranks are integers and compare exactly.
     """
     n = len(x)
     if n > 10:
@@ -276,18 +277,14 @@ def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
     ranks_y = average_ranks(y)
     if min(ranks_x) == max(ranks_x) or min(ranks_y) == max(ranks_y):
         raise DataError("exact p-value undefined for constant input")
-    mean_rank = (n + 1) / 2.0
-    centered_x = tuple(r - mean_rank for r in ranks_x)
-    centered_y = tuple(r - mean_rank for r in ranks_y)
+    centered_x = tuple(int(2 * r) - (n + 1) for r in ranks_x)
+    centered_y = tuple(int(2 * r) - (n + 1) for r in ranks_y)
     observed = abs(sum(a * b for a, b in zip(centered_x, centered_y)))
-    threshold = observed - 1e-9
     count = 0
-    total = 0
     for permuted in itertools.permutations(centered_y):
         dot = sum(a * b for a, b in zip(centered_x, permuted))
-        count += (abs(dot) >= threshold)
-        total += 1
-    return count / total
+        count += (abs(dot) >= observed)
+    return count / math.factorial(n)
 
 
 def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float],

@@ -63,19 +63,19 @@ class ChangeScore:
     per_category: dict[str, float] = field(default_factory=dict)
 
 
-def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
+def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
                     zero_profile_distance: float = 1.0) -> float:
-    """1 - cosine similarity of two non-negative vectors.
+    """1 - cosine similarity of two non-negative integer count vectors.
 
     If exactly one vector is all-zero the profile appeared or vanished
     and ``zero_profile_distance`` is returned; two all-zero (or empty)
-    vectors compare as identical, distance 0. Result is clamped to
-    [0, 1] against float round-off.
+    vectors compare as identical, distance 0. Proportional vectors are
+    at distance exactly 0 (in integers, ``dot² == |a|²·|b|²`` holds
+    exactly then), and any other result is clamped to [0, 1] against
+    float round-off.
     """
     if len(v_a) != len(v_b):
         raise ValueError(f"vector length mismatch: {len(v_a)} vs {len(v_b)}")
-    if list(v_a) == list(v_b):
-        return 0.0  # exact, not subject to sqrt round-off
     squared_a = sum(map(operator.mul, v_a, v_a))
     squared_b = sum(map(operator.mul, v_b, v_b))
     if squared_a == 0 and squared_b == 0:
@@ -83,6 +83,8 @@ def cosine_distance(v_a: Sequence[float], v_b: Sequence[float],
     if squared_a == 0 or squared_b == 0:
         return zero_profile_distance
     dot = sum(map(operator.mul, v_a, v_b))
+    if dot * dot == squared_a * squared_b:
+        return 0.0
     similarity = float(dot) / (math.sqrt(squared_a) * math.sqrt(squared_b))
     return min(1.0, max(0.0, 1.0 - similarity))
 
@@ -105,14 +107,12 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
     ``counts_a[key] + counts_b[key] < threshold * (total_a + total_b)``
     (strictly below; a key exactly at the threshold survives). With
     ``per_period`` the comparison is made against each period's own
-    total and removal is decided per table. Zero totals leave the
-    inputs unchanged. The comparison is exact, in integers, with the
-    threshold read as its decimal.
+    total and removal is decided per table. The comparison is exact, in
+    integers, with the threshold read as its decimal, so zero totals
+    give zero cutoffs and keep every key.
     """
     if not 0.0 <= threshold < 1.0:
         raise ConfigError("filter threshold must be in [0, 1)")
-    if total_a + total_b == 0:
-        return dict(counts_a), dict(counts_b)
     num, den = _decimal_ratio(threshold)
     if per_period:
         cutoff_a, cutoff_b = num * total_a, num * total_b

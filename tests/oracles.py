@@ -6,6 +6,7 @@ exact rational arithmetic (fractions) plus 50-digit floats (mpmath)
 where a square root or a distribution tail is unavoidable.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -156,6 +157,22 @@ def student_t_two_tailed_oracle(t, df):
     df = mpmath.mpf(df)
     x = df / (df + t * t)
     return float(mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+
+def exact_spearman_p_oracle(x, y):
+    """Two-tailed permutation p-value as an exact fraction: the share of
+    orderings of y whose rank covariance with x is at least the observed
+    one in absolute value, in rational arithmetic."""
+    ranks_x = [Fraction(r) for r in average_ranks_oracle(x)]
+    mean = Fraction(len(x) + 1, 2)
+
+    def covariance(ys):
+        ranks_y = [Fraction(r) for r in average_ranks_oracle(ys)]
+        return abs(sum((a - mean) * (b - mean) for a, b in zip(ranks_x, ranks_y)))
+
+    observed = covariance(y)
+    orderings = list(itertools.permutations(y))
+    return Fraction(sum(covariance(ys) >= observed for ys in orderings), len(orderings))
 
 
 def extract_oracle(corpora, targets, case_fold=False, match_form=False,

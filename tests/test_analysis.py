@@ -12,7 +12,7 @@ from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import Profile
 from gramprof.scoring import MethodConfig
 
-from oracles import student_t_two_tailed_oracle
+from oracles import exact_spearman_p_oracle, student_t_two_tailed_oracle
 
 UNIT_COLUMN = 1.224744871391589  # sqrt(3/2): standardized [1, 2, 3]
 
@@ -320,6 +320,20 @@ def test_exact_p_value():
     assert exact_spearman_p_value(x, x) == pytest.approx(2 / 120)
     with pytest.raises(ConfigError):
         exact_spearman_p_value(np.arange(11.0), np.arange(11.0))
+
+
+def test_exact_p_value_matches_the_rational_oracle_with_ties():
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(40):
+        n = rng.randrange(3, 7)
+        x = [rng.randrange(0, 3) for _ in range(n)]
+        y = [rng.randrange(0, 4) for _ in range(n)]
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            continue
+        assert exact_spearman_p_value(x, y) == float(exact_spearman_p_oracle(x, y))
+        checked += 1
+    assert checked > 25
 
 
 def test_exact_p_roughly_tracks_t_approximation():

@@ -158,6 +158,28 @@ def test_score_is_byte_deterministic(dataset):
     assert out_1.read_bytes() == out_2.read_bytes()
 
 
+def test_score_ties_a_proportional_profile_with_an_unchanged_one_by_word_id(
+        tmp_path, capsys):
+    # z's new counts are twice its old ones: the profile only grew, so z
+    # is at distance exactly 0 like the unchanged a, and follows it
+    old = {"a": {"Number=Sing": 3, "Number=Plur": 2},
+           "m": {"Number=Sing": 4, "Number=Plur": 1},
+           "z": {"Number=Sing": 1, "Number=Plur": 1}}
+    new = {"a": old["a"], "m": {"Number=Sing": 1, "Number=Plur": 4},
+           "z": {"Number=Sing": 2, "Number=Plur": 2}}
+    store = ProfileStore(["old", "new"], {
+        (word_id, period): Profile(word_id, period, dict(counts),
+                                   {"nsubj": sum(counts.values())}, sum(counts.values()))
+        for period, words in (("old", old), ("new", new))
+        for word_id, counts in words.items()})
+    with open(tmp_path / "store.jsonl", "w", encoding="utf-8") as f:
+        store.save(f)
+    assert run(["score", tmp_path / "store.jsonl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["a\t0.000000", "z\t0.000000"]
+    assert lines[0].startswith("m\t")
+
+
 def test_score_explain_columns(dataset, capsys):
     store = extract(dataset)
     capsys.readouterr()

@@ -110,8 +110,6 @@ def test_cosine_scale_invariance():
 def cosine_distance_generator_form(v_a, v_b, zero_profile_distance=1.0):
     """cosine_distance's formula with each sum written as a generator
     expression over the elements, in the same order."""
-    if list(v_a) == list(v_b):
-        return 0.0
     squared_a = sum(x * x for x in v_a)
     squared_b = sum(x * x for x in v_b)
     if squared_a == 0 and squared_b == 0:
@@ -119,22 +117,45 @@ def cosine_distance_generator_form(v_a, v_b, zero_profile_distance=1.0):
     if squared_a == 0 or squared_b == 0:
         return zero_profile_distance
     dot = sum(x * y for x, y in zip(v_a, v_b))
+    if dot * dot == squared_a * squared_b:
+        return 0.0
     similarity = float(dot) / (math.sqrt(squared_a) * math.sqrt(squared_b))
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
-def test_cosine_float_and_mixed_sequences_match_generator_form_bit_for_bit():
+def test_cosine_integer_lists_and_tuples_match_generator_form_bit_for_bit():
     rng = random.Random(44)
     for _ in range(300):
         n = rng.randrange(1, 15)
-        v_a = [rng.uniform(0.0, 100.0) for _ in range(n)]
-        v_b = [rng.choice([0.0, rng.uniform(0.0, 100.0), 3.0 * x]) for x in v_a]
+        v_a = [rng.randrange(0, 100) for _ in range(n)]
+        v_b = [rng.choice([0, rng.randrange(0, 100), 3 * x]) for x in v_a]
         for a, b in ((v_a, v_b), (tuple(v_a), v_b), (v_a, tuple(v_b)),
                      (tuple(v_a), list(v_a))):
             distance = cosine_distance(a, b)
             assert distance.hex() == cosine_distance_generator_form(a, b).hex()
             assert abs(distance - cosine_distance_oracle(a, b)) <= 1e-12
-    assert cosine_distance((0.5, 2.5), [0.5, 2.5]) == 0.0
+    assert cosine_distance((1, 5), [1, 5]) == 0.0
+
+
+def test_cosine_of_proportional_counts_is_exactly_zero():
+    # one period's counts k times the other's: the profile only grew
+    assert cosine_distance([1, 1], [2, 2]) == 0.0
+    rng = random.Random(45)
+    for _ in range(2000):
+        v = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 12))]
+        k = rng.randrange(2, 6)
+        assert cosine_distance(v, [k * x for x in v]) == 0.0
+        assert cosine_distance([k * x for x in v], v) == 0.0
+
+
+def test_cosine_clamps_round_off_below_zero():
+    # not proportional, yet 1 - similarity rounds to -2**-52
+    v_a, v_b = [612484, 9863], [2449937, 39452]
+    dot = sum(x * y for x, y in zip(v_a, v_b))
+    assert dot * dot != sum(x * x for x in v_a) * sum(x * x for x in v_b)
+    raw = 1.0 - dot / (math.sqrt(sum(x * x for x in v_a)) * math.sqrt(sum(x * x for x in v_b)))
+    assert raw < 0.0
+    assert cosine_distance(v_a, v_b) == 0.0
 
 
 # ----------------------------------------------------------------------
