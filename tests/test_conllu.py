@@ -229,6 +229,10 @@ def test_case_folding():
     assert match(sentence, [TargetSpec("lass", "lass")]) == []
     matches = match(sentence, [TargetSpec("lass", "lass")], case_fold=True)
     assert [word_id for word_id, _ in matches] == ["lass"]
+    # the target's lemma is folded too
+    lower = [row("lass", "lass", "NOUN", "_", "root")]
+    matches = match(lower, [TargetSpec("Lass", "Lass")], case_fold=True)
+    assert [word_id for word_id, _ in matches] == ["Lass"]
 
 
 def test_match_on_form():

@@ -1,24 +1,42 @@
 """Whole-pipeline output checks on fixed inputs (see tests/golden.py).
 
-Golden outputs: every output file of the pipeline calls on the
-generated data has the sha256 that tests/golden/SHA256SUMS records,
-and every demo output equals its copy in tests/golden/demos.
+* Metamorphic invariants on the seed-1 ``rescore-sweep`` store, under
+  the benchmark's six method variants plus ``--filter 0`` and
+  ``--filter-per-period``: swapping the period pair, or doubling every
+  count, gives bitwise-equal distances.
+* The extracted store is byte-identical when a corpus file is split at
+  a sentence boundary, when a period's files are reordered, and when
+  each file's compression is switched (``.gz`` against plain).
+* Golden outputs: every output file of the pipeline calls on the
+  generated data has the sha256 that tests/golden/SHA256SUMS records,
+  and every demo output equals its copy in tests/golden/demos.
+* PYTHONHASHSEED 1, 2 and 3 give byte-identical outputs: each seed's
+  calls run in a fresh process.
 """
 
+import gzip
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import golden
 import gramprof
+from gramprof import cli
+from gramprof.profiles import Profile, ProfileStore
+from gramprof.scoring import score_period_pair
 
 SRC = str(Path(gramprof.__file__).resolve().parents[1])
 VERSIONS, ENTRIES = golden.read_manifest()
 DEMO_FILES = sorted(path.name for path in golden.DEMO_EXPECTED.iterdir())
-HASH_SEEDS = (1,)
+HASH_SEEDS = (1, 2, 3)
+COMBINATION = golden.workloads.SCORE_VARIANTS["combination"]
+METHOD_VARIANTS = {**golden.workloads.SCORE_VARIANTS,
+                   "filter-0": [*COMBINATION, "--filter", "0"],
+                   "filter-per-period": [*COMBINATION, "--filter-per-period"]}
 FRESH_RUN_TIMEOUT = 300
 
 
@@ -87,6 +105,107 @@ def skip_other_versions(name: str) -> None:
                     f"tests/golden.py --update and review the diff")
 
 
+def method_config(variant: str):
+    return cli._method_config(cli.build_parser().parse_args(
+        ["score", "store.jsonl", *METHOD_VARIANTS[variant]]))
+
+
+def bits(scores) -> list[tuple]:
+    """Every distance of every score, as the exact bits of the float."""
+    def hex_or_none(value):
+        return None if value is None else value.hex()
+    return [(s.word_id, hex_or_none(s.aggregate), hex_or_none(s.d_morph),
+             hex_or_none(s.d_synt), {k: v.hex() for k, v in s.per_category.items()})
+            for s in scores]
+
+
+@pytest.fixture(scope="module")
+def store(run):
+    with open(run.store, encoding="utf-8") as f:
+        return ProfileStore.load(f)
+
+
+@pytest.fixture(scope="module")
+def scored(store):
+    """The distances of each method variant on the store's own pair."""
+    return {variant: bits(score_period_pair(store.profiles, tuple(store.periods),
+                                            method_config(variant)))
+            for variant in METHOD_VARIANTS}
+
+
+# ----------------------------------------------------------------------
+# metamorphic invariants
+
+@pytest.mark.parametrize("variant", METHOD_VARIANTS)
+def test_swapping_the_pair_gives_bitwise_equal_distances(store, scored, variant):
+    old, new = store.periods
+    swapped = score_period_pair(store.profiles, (new, old), method_config(variant))
+    assert bits(swapped) == scored[variant]
+
+
+@pytest.mark.parametrize("variant", METHOD_VARIANTS)
+def test_doubling_every_count_gives_bitwise_equal_distances(store, scored, variant):
+    doubled = {key: Profile(p.word_id, p.period, {k: 2 * c for k, c in p.morph.items()},
+                            {k: 2 * c for k, c in p.synt.items()}, 2 * p.total)
+               for key, p in store.profiles.items()}
+    scores = score_period_pair(doubled, tuple(store.periods), method_config(variant))
+    assert bits(scores) == scored[variant]
+
+
+def dense_variant(run, tmp_path, change) -> str:
+    """sha256 of the store extracted from the extract-dense inputs with
+    each period's list of corpus files rewritten by ``change(paths,
+    tmp_path)``."""
+    inputs = run.root / "extract-dense"
+    config = yaml.safe_load((inputs / "dataset.yml").read_text(encoding="utf-8"))
+    config["targets"] = str(inputs / config["targets"])
+    for period in config["periods"]:
+        period["paths"] = [str(p) for p in change([inputs / p for p in period["paths"]],
+                                                  tmp_path)]
+    (tmp_path / "dataset.yml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    call = golden.workloads.extract_call("extract-dense", tmp_path, tmp_path)
+    golden.run_calls([call], tmp_path)
+    return golden.sha256(tmp_path / "store.jsonl")
+
+
+def split_first_file(paths, tmp_path):
+    """The first file cut into two at the blank line nearest its middle."""
+    first, *rest = paths
+    lines = first.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = min((i + 1 for i, line in enumerate(lines) if not line.strip()),
+              key=lambda i: abs(i - len(lines) // 2))
+    assert 0 < cut < len(lines)
+    parts = [tmp_path / f"{first.stem}.head.conllu", tmp_path / f"{first.stem}.tail.conllu"]
+    parts[0].write_text("".join(lines[:cut]), encoding="utf-8")
+    parts[1].write_text("".join(lines[cut:]), encoding="utf-8")
+    return [*parts, *rest]
+
+
+def reversed_order(paths, tmp_path):
+    return paths[::-1]
+
+
+def switched_compression(paths, tmp_path):
+    switched = []
+    for path in paths:
+        if path.suffix == ".gz":
+            target = tmp_path / path.stem
+            target.write_bytes(gzip.decompress(path.read_bytes()))
+        else:
+            target = tmp_path / f"{path.name}.gz"
+            target.write_bytes(gzip.compress(path.read_bytes()))
+        switched.append(target)
+    return switched
+
+
+@pytest.mark.parametrize("change", [split_first_file, reversed_order, switched_compression])
+def test_store_is_byte_identical_under_a_change_of_corpus_files(run, tmp_path, change):
+    assert any(len(p["paths"]) > 1 and any(path.endswith(".gz") for path in p["paths"])
+               for p in yaml.safe_load((run.root / "extract-dense" / "dataset.yml")
+                                       .read_text(encoding="utf-8"))["periods"])
+    assert dense_variant(run, tmp_path, change) == ENTRIES["extract-dense/store.jsonl"]
+
+
 # ----------------------------------------------------------------------
 # golden outputs
 
@@ -114,3 +233,20 @@ def test_demo_output(demo_outputs, name):
     skip_other_versions(name)
     expected = (golden.DEMO_EXPECTED / name).read_text(encoding="utf-8")
     assert (demo_outputs / name).read_text(encoding="utf-8") == expected
+
+
+# ----------------------------------------------------------------------
+# hash-seed independence
+
+@pytest.mark.parametrize("seed", HASH_SEEDS[1:])
+def test_hash_seed_gives_byte_identical_outputs(run, seed):
+    compared = 0
+    for workload, labels in golden.HASH_SEED_LABELS.items():
+        calls = [call for call in golden.pipeline_calls(
+            workload, run.root / workload, run.root, run.truths[workload])
+            if call.label in labels]
+        for name in golden.output_files(calls):
+            first = (run.fresh(HASH_SEEDS[0]) / workload / name).read_bytes()
+            assert (run.fresh(seed) / workload / name).read_bytes() == first, name
+            compared += 1
+    assert compared == 8  # the dense store and report, six rescore-sweep files
