@@ -49,9 +49,8 @@ class Run:
         self.root = root
         self.truths = golden.generate_inputs(root)
         store_dir = root / "out" / "rescore-sweep"
-        extract = golden.pipeline_calls("rescore-sweep", root / "rescore-sweep", store_dir,
-                                        self.truths["rescore-sweep"])[0]
-        golden.run_calls([extract], store_dir)
+        golden.run_calls([golden.workloads.extract_call(
+            "rescore-sweep", root / "rescore-sweep", store_dir)], store_dir)
         self.store = store_dir / "store.jsonl"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [SRC, os.environ.get("PYTHONPATH")])))
