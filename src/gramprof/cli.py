@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
-import yaml
-
 from . import __version__
 from .analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
                        category_correlations, standardize, timeline, train_logreg)
@@ -66,6 +64,7 @@ def load_dataset_spec(path) -> DatasetSpec:
     """Read a dataset description from a YAML file. Relative paths are
     resolved against the file's directory; a corpus file may appear only
     once in the whole dataset."""
+    import yaml
     path = Path(path)
     with reading(path, "config", ConfigError) as f:
         try:
@@ -264,7 +263,7 @@ def cmd_score(args) -> int:
     pair = _resolve_pair(store, args.pair)
     scores = score_period_pair(store.profiles, pair, config)
     by_word = {s.word_id: s for s in scores}
-    ranking = rank_words({s.word_id: s.aggregate for s in scores})
+    ranking = rank_words({s.word_id: round(s.aggregate, 6) for s in scores})
     with _output(args.output) as stream:
         if args.explain:
             categories = sorted({c for s in scores for c in s.per_category})

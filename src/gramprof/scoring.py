@@ -109,10 +109,9 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
     ``per_period`` the comparison is made against each period's own
     total and removal is decided per table. The comparison is exact, in
     integers, with the threshold read as its decimal, so zero totals
-    give zero cutoffs and keep every key.
+    give zero cutoffs and keep every key. The threshold is in [0, 1):
+    ``MethodConfig`` checks it.
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ConfigError("filter threshold must be in [0, 1)")
     num, den = _decimal_ratio(threshold)
     if per_period:
         cutoff_a, cutoff_b = num * total_a, num * total_b

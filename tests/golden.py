@@ -17,7 +17,9 @@ change that alters an output on purpose rewrites them with
 
     PYTHONPATH=src python3 tests/golden.py --update
 
-and names every changed entry, with its reason, in CHANGES.md.
+which prints every manifest entry and demo file it changes, adds or
+removes, with the old and new sha256, and names every changed entry,
+with its reason, in CHANGES.md.
 
 The ``analyze`` reports and ``evaluate --task graded`` print floats that
 numpy and scipy compute, so the manifest records the versions it was
@@ -166,7 +168,25 @@ def run_fresh(root: Path, out: Path, hash_seed_only: bool = False) -> None:
         run_calls(calls, target)
 
 
+def demo_digests() -> dict[str, str]:
+    """sha256 per ``demos/<file>`` of the recorded demo outputs."""
+    if not DEMO_EXPECTED.is_dir():
+        return {}
+    return {f"demos/{path.name}": sha256(path) for path in DEMO_EXPECTED.iterdir()}
+
+
+def report_changes(old: dict[str, str], new: dict[str, str]) -> None:
+    """Print each name whose sha256 differs between ``old`` and ``new``."""
+    changed = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in changed:
+        status = ("added" if name not in old else "removed" if name not in new
+                  else "changed")
+        print(f"{status:<8} {name}  {old.get(name, '-')} -> {new.get(name, '-')}")
+    print(f"{len(changed)} of {len(old.keys() | new.keys())} golden outputs differ")
+
+
 def update() -> None:
+    old = {**(read_manifest()[1] if MANIFEST.exists() else {}), **demo_digests()}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         entries = {}
@@ -183,6 +203,7 @@ def update() -> None:
         DEMO_EXPECTED.mkdir(parents=True)
         for name in output_files(calls):
             shutil.copy(root / "demos" / name, DEMO_EXPECTED / name)
+    report_changes(old, {**entries, **demo_digests()})
 
 
 def main(argv=None) -> int:

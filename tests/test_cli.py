@@ -611,7 +611,7 @@ def python_env():
 
 
 # Imports gramprof in a fresh interpreter, runs the CLI command given as
-# arguments (if any) and prints the numpy and scipy modules then loaded.
+# arguments (if any) and prints the numpy, scipy and yaml modules then loaded.
 MODULES_PROBE = """\
 import contextlib, io, sys
 import gramprof
@@ -621,34 +621,34 @@ if len(sys.argv) > 1:
         code = main(sys.argv[1:])
     if code != 0:
         sys.exit(f"exit {code}")
-print(" ".join(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
+print(" ".join(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy", "yaml")))
 """
 
 
-NO_NUMPY = ["numpy", "scipy"]
+NONE = ["numpy", "scipy", "yaml"]
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
-    pytest.param([], [], NO_NUMPY, id="import"),
-    pytest.param(["extract", "-c", "{data}/dataset.yml", "-o", "{d}/again.jsonl"], [],
-                 NO_NUMPY, id="extract"),
+    pytest.param([], [], NONE, id="import"),
+    pytest.param(["extract", "-c", "{data}/dataset.yml", "-o", "{d}/again.jsonl"], ["yaml"],
+                 ["numpy", "scipy"], id="extract"),
     pytest.param(["score", "{store}", "--features", "combination", "--separate"], [],
-                 NO_NUMPY, id="score"),
-    pytest.param(["classify", "{scores}", "--changepoint"], [], NO_NUMPY, id="classify"),
-    pytest.param(["timeline", "{store}", "lass", "Number"], [], NO_NUMPY, id="timeline"),
-    pytest.param(["rank", "{scores}"], [], NO_NUMPY, id="rank"),
-    pytest.param(["combine-labels", "{labels}", "{labels}"], [], NO_NUMPY,
+                 NONE, id="score"),
+    pytest.param(["classify", "{scores}", "--changepoint"], [], NONE, id="classify"),
+    pytest.param(["timeline", "{store}", "lass", "Number"], [], NONE, id="timeline"),
+    pytest.param(["rank", "{scores}"], [], NONE, id="rank"),
+    pytest.param(["combine-labels", "{labels}", "{labels}"], [], NONE,
                  id="combine-labels"),
     pytest.param(["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary"], [],
-                 NO_NUMPY, id="evaluate-binary"),
+                 NONE, id="evaluate-binary"),
     pytest.param(["evaluate", "{scores}", "{data}/gold.tsv", "--task", "graded"],
-                 ["numpy"], ["scipy"], id="evaluate"),
+                 ["numpy"], ["scipy", "yaml"], id="evaluate"),
     pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
-                 ["numpy"], ["scipy"], id="analyze-logreg"),
+                 ["numpy"], ["scipy", "yaml"], id="analyze-logreg"),
     pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
-                 ["numpy"], ["scipy.stats"], id="analyze"),
+                 ["numpy"], ["scipy.stats", "yaml"], id="analyze"),
     pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation",
-                  "--exact-p"], ["numpy"], ["scipy"], id="analyze-exact-p"),
+                  "--exact-p"], ["numpy"], ["scipy", "yaml"], id="analyze-exact-p"),
 ])
 def test_commands_import_only_what_they_use(demo, argv, needed, absent):
     done = subprocess.run([sys.executable, "-c", MODULES_PROBE,

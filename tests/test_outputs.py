@@ -3,7 +3,11 @@
 * Metamorphic invariants on the seed-1 ``rescore-sweep`` store, under
   the benchmark's six method variants plus ``--filter 0`` and
   ``--filter-per-period``: swapping the period pair, or doubling every
-  count, gives bitwise-equal distances.
+  count, gives bitwise-equal distances. Under those eight and
+  ``--explain``, tripling every count gives byte-identical score files.
+* One ranking order: every score file lists its words in the order
+  ``rank_words`` gives its own printed scores (descending, ties by word
+  id), so its first K lines are ``rank --top K``.
 * The extracted store is byte-identical when a corpus file is split at
   a sentence boundary, when a period's files are reordered, and when
   each file's compression is switched (``.gz`` against plain).
@@ -26,6 +30,7 @@ import yaml
 import golden
 import gramprof
 from gramprof import cli
+from gramprof.decision import rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import score_period_pair
 
@@ -37,6 +42,7 @@ COMBINATION = golden.workloads.SCORE_VARIANTS["combination"]
 METHOD_VARIANTS = {**golden.workloads.SCORE_VARIANTS,
                    "filter-0": [*COMBINATION, "--filter", "0"],
                    "filter-per-period": [*COMBINATION, "--filter-per-period"]}
+SCORE_CONFIGS = {**METHOD_VARIANTS, "explain": [*COMBINATION, "--explain"]}
 FRESH_RUN_TIMEOUT = 300
 
 
@@ -124,6 +130,37 @@ def store(run):
         return ProfileStore.load(f)
 
 
+def scaled(profile: Profile, factor: int) -> Profile:
+    """``profile`` with every count and its total multiplied by ``factor``."""
+    return Profile(profile.word_id, profile.period,
+                   {k: factor * c for k, c in profile.morph.items()},
+                   {k: factor * c for k, c in profile.synt.items()}, factor * profile.total)
+
+
+def write_score_files(store_path: Path, out: Path) -> Path:
+    """One score file per configuration of SCORE_CONFIGS, written by the CLI."""
+    out.mkdir()
+    for config, flags in SCORE_CONFIGS.items():
+        assert cli.main(["score", str(store_path), *flags,
+                         "-o", str(out / f"score.{config}.tsv")]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def score_files(run):
+    return write_score_files(run.store, run.root / "score-files")
+
+
+@pytest.fixture(scope="module")
+def tripled_score_files(run, store):
+    path = run.root / "tripled.jsonl"
+    tripled = ProfileStore(store.periods, {key: scaled(p, 3) for key, p in store.profiles.items()},
+                           store.options)
+    with open(path, "w", encoding="utf-8") as f:
+        tripled.save(f)
+    return write_score_files(path, run.root / "tripled-score-files")
+
+
 @pytest.fixture(scope="module")
 def scored(store):
     """The distances of each method variant on the store's own pair."""
@@ -144,11 +181,28 @@ def test_swapping_the_pair_gives_bitwise_equal_distances(store, scored, variant)
 
 @pytest.mark.parametrize("variant", METHOD_VARIANTS)
 def test_doubling_every_count_gives_bitwise_equal_distances(store, scored, variant):
-    doubled = {key: Profile(p.word_id, p.period, {k: 2 * c for k, c in p.morph.items()},
-                            {k: 2 * c for k, c in p.synt.items()}, 2 * p.total)
-               for key, p in store.profiles.items()}
+    doubled = {key: scaled(p, 2) for key, p in store.profiles.items()}
     scores = score_period_pair(doubled, tuple(store.periods), method_config(variant))
     assert bits(scores) == scored[variant]
+
+
+@pytest.mark.parametrize("config", SCORE_CONFIGS)
+def test_tripling_every_count_gives_byte_identical_score_files(score_files,
+                                                               tripled_score_files, config):
+    name = f"score.{config}.tsv"
+    assert (tripled_score_files / name).read_bytes() == (score_files / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", SCORE_CONFIGS)
+def test_score_file_order_is_rank_words_of_its_printed_values(store, score_files, config):
+    lines = (score_files / f"score.{config}.tsv").read_text(encoding="utf-8").splitlines()
+    if config == "explain":
+        lines = lines[1:]
+    rows = [line.split("\t")[:2] for line in lines]
+    printed = {word_id: float(score) for word_id, score in rows}
+    assert len(printed) == len(rows) == len(store.word_ids)
+    assert len(set(printed.values())) < len(printed)  # there are ties to order
+    assert [word_id for word_id, _ in rows] == [word_id for word_id, _ in rank_words(printed)]
 
 
 def dense_variant(run, tmp_path, change) -> str:

@@ -240,11 +240,6 @@ def test_filter_monotone_in_threshold():
             previous = surviving
 
 
-def test_filter_bad_threshold():
-    with pytest.raises(ConfigError):
-        filter_rare({}, {}, 1, 1, 1.5)
-
-
 # ----------------------------------------------------------------------
 # basic scoring
 
