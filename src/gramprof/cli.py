@@ -49,12 +49,6 @@ class DatasetSpec:
     targets_path: str
     gold_path: Optional[str] = None
 
-    def __post_init__(self):
-        if len(self.periods) < 2:
-            raise ConfigError("dataset needs at least 2 periods")
-        if len(set(self.period_labels)) != len(self.periods):
-            raise ConfigError("duplicate period labels")
-
     @property
     def period_labels(self) -> list[str]:
         return [label for label, _ in self.periods]
@@ -62,8 +56,9 @@ class DatasetSpec:
 
 def load_dataset_spec(path) -> DatasetSpec:
     """Read a dataset description from a YAML file. Relative paths are
-    resolved against the file's directory; a corpus file may appear only
-    once in the whole dataset."""
+    resolved against the file's directory. A dataset has at least two
+    periods with distinct labels, and a corpus file may appear only once
+    in it."""
     import yaml
     path = Path(path)
     with reading(path, "config", ConfigError) as f:
@@ -101,6 +96,10 @@ def load_dataset_spec(path) -> DatasetSpec:
     except TypeError as exc:
         raise ConfigError(f"config {path}: 'periods' must be a list of entries "
                           f"with 'label' and 'paths' ({exc})")
+    if len(spec.periods) < 2:
+        raise ConfigError(f"config {path}: dataset needs at least 2 periods")
+    if len(set(spec.period_labels)) != len(spec.periods):
+        raise ConfigError(f"config {path}: duplicate period labels")
     seen: dict[Path, str] = {}
     for label, paths in spec.periods:
         for p in paths:
@@ -225,13 +224,12 @@ def cmd_extract(args) -> int:
     spec = load_dataset_spec(args.config)
     targets = load_targets(spec.targets_path)
     corpora = {label: paths for label, paths in spec.periods}
-    match_field = "form" if args.match_form else "lemma"
     profiles = extract_profiles(
         corpora, targets,
         case_fold=args.case_fold,
-        match_field=match_field,
+        match_form=args.match_form,
         strip_subtypes=args.strip_deprel_subtype,
-        errors="strict" if args.strict else "skip",
+        strict=args.strict,
     )
     store = ProfileStore(
         periods=spec.period_labels,
@@ -239,7 +237,7 @@ def cmd_extract(args) -> int:
         options={
             "dataset": spec.name,
             "case_fold": args.case_fold,
-            "match_field": match_field,
+            "match_field": "form" if args.match_form else "lemma",
             "strip_deprel_subtype": args.strip_deprel_subtype,
         },
     )
@@ -248,10 +246,11 @@ def cmd_extract(args) -> int:
     # The store may be on stdout; the report must not follow it there.
     report = sys.stderr if args.output == "-" else sys.stdout
     for word_id in store.word_ids:
-        counts = "  ".join(f"{period}={store.get(word_id, period).total}"
-                           for period in store.periods)
+        totals = [profiles[(word_id, period)].total for period in store.periods]
+        counts = "  ".join(f"{period}={total}"
+                           for period, total in zip(store.periods, totals))
         print(f"{word_id}: {counts}", file=report)
-        if all(store.get(word_id, period).total == 0 for period in store.periods):
+        if not any(totals):
             logger.warning("target %r matched nothing in any period", word_id)
     logger.info("wrote %d profiles to %s", len(profiles), args.output)
     return 0
@@ -392,7 +391,7 @@ def cmd_timeline(args) -> int:
     if args.word not in set(store.word_ids):
         raise DataError(f"word {args.word!r} not in store; available: "
                         f"{', '.join(store.word_ids)}")
-    profiles_by_period = {period: store.get(args.word, period)
+    profiles_by_period = {period: store.profiles[(args.word, period)]
                           for period in store.periods}
     rows = timeline(profiles_by_period, args.category)
     with _output(args.output) as stream:

@@ -71,7 +71,7 @@ def strip_deprel_subtype(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[list[str]]]:
+def parse_conllu(stream: Iterable[str], strict: bool = False) -> Iterator[list[list[str]]]:
     """Parse CONLL-U text into sentences: lists of tokens, each the list
     of its line's 10 columns as split at tabs (MISC keeps the line
     ending).
@@ -80,12 +80,10 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[l
     string is split into lines at ``\\n`` only, as a file would be).
     Comment lines start with ``#``; a blank line ends a sentence. Lines
     that do not have exactly 10 tab-separated columns are malformed:
-    with ``errors="skip"`` they are dropped with a warning, with
-    ``errors="strict"`` a ConlluParseError carrying the line number is
-    raised. Both name the stream's ``name`` (its file) when it has one.
+    they are dropped with a warning, or with ``strict`` a
+    ConlluParseError carrying the line number is raised. Both name the
+    stream's ``name`` (its file) when it has one.
     """
-    if errors not in ("skip", "strict"):
-        raise ValueError(f"unknown error policy {errors!r}")
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     path = getattr(stream, "name", None)
@@ -110,7 +108,7 @@ def parse_conllu(stream: Iterable[str], errors: str = "skip") -> Iterator[list[l
         err = ConlluParseError(
             line_number, f"expected {N_COLUMNS} columns, got {len(columns)}", path
         )
-        if errors == "strict":
+        if strict:
             raise err
         logger.warning("skipping malformed CONLL-U %s", err)
     if sentence:
@@ -132,18 +130,17 @@ class TargetIndex:
     Guarantees that a token matches at most one target: candidates with
     a POS filter take precedence over unfiltered ones, remaining ties
     are broken by ascending word_id and only the first match is
-    emitted.
+    emitted. With ``match_form`` a token is looked up by its surface
+    form instead of its lemma.
     """
 
     def __init__(self, targets: Iterable[TargetSpec], case_fold: bool = False,
-                 match_field: str = "lemma"):
+                 match_form: bool = False):
         targets = list(targets)
         if not targets:
             raise ConfigError("no targets given")
-        if match_field not in ("lemma", "form"):
-            raise ConfigError(f"unknown match field {match_field!r}")
         self.case_fold = case_fold
-        self._field = LEMMA if match_field == "lemma" else FORM
+        self._field = FORM if match_form else LEMMA
         seen_ids: set[str] = set()
         seen_rules: set[tuple[str, Optional[frozenset[str]]]] = set()
         self._by_lemma: dict[str, list[TargetSpec]] = {}

@@ -21,16 +21,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GoldRecord:
-    word_id: str
+    """One word's gold values; ``load_gold`` keys it by the word id."""
+
     binary: Optional[int] = None
     graded: Optional[float] = None
 
     def __post_init__(self):
         if self.binary is None and self.graded is None:
-            raise DataError(f"gold record {self.word_id!r} has neither a binary "
-                            f"label nor a graded score")
+            raise DataError("gold record has neither a binary label nor a graded score")
         if self.binary is not None and self.binary not in (0, 1):
-            raise DataError(f"gold record {self.word_id!r}: binary label must be 0 or 1")
+            raise DataError("binary label must be 0 or 1")
 
 
 def check_same_words(a: Iterable[str], b: Iterable[str], what: str) -> None:
@@ -137,11 +137,11 @@ def load_gold(path) -> dict[str, GoldRecord]:
     ``-`` for an absent value. ``#`` comments and blank lines allowed.
     Graded scores must be finite."""
     def parse(columns: list[str]) -> GoldRecord:
-        word_id, binary, graded = columns
+        _, binary, graded = columns
         score = None if graded == "-" else float(graded)
         if score is not None and not math.isfinite(score):
             raise ValueError(f"graded score {graded!r} is not finite")
-        return GoldRecord(word_id, None if binary == "-" else int(binary), score)
+        return GoldRecord(None if binary == "-" else int(binary), score)
 
     return read_tsv(path, "gold file", parse, "word_id<TAB>binary<TAB>graded",
                     DataError, 3, 3)

@@ -29,8 +29,9 @@ STORE_VERSION = 1
 
 @dataclass
 class Profile:
-    word_id: str
-    period: str
+    """One word's counts in one period; its key in a profile mapping is
+    (word_id, period)."""
+
     morph: dict[str, int] = field(default_factory=dict)
     synt: dict[str, int] = field(default_factory=dict)
     total: int = 0
@@ -40,19 +41,6 @@ class Profile:
         self.synt[deprel] = self.synt.get(deprel, 0) + 1
         if feats != "_" and feats != "":
             self.morph[feats] = self.morph.get(feats, 0) + 1
-
-    def validate(self) -> None:
-        """Check the counting invariants; raises DataError on violation."""
-        if min(self.morph.values(), default=1) < 1 or min(self.synt.values(), default=1) < 1:
-            raise DataError(f"profile {self.word_id}/{self.period}: zero or negative count")
-        if sum(self.synt.values()) != self.total:
-            raise DataError(
-                f"profile {self.word_id}/{self.period}: syntax counts do not sum to total"
-            )
-        if sum(self.morph.values()) > self.total:
-            raise DataError(
-                f"profile {self.word_id}/{self.period}: morphology counts exceed total"
-            )
 
 
 def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
@@ -92,17 +80,18 @@ def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]
 
 
 def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSpec],
-                     case_fold: bool = False, match_field: str = "lemma",
-                     strip_subtypes: bool = False, errors: str = "skip",
+                     case_fold: bool = False, match_form: bool = False,
+                     strip_subtypes: bool = False, strict: bool = False,
                      ) -> dict[tuple[str, str], Profile]:
     """Count matched-token features over every corpus period.
 
     ``corpora`` maps period label -> list of CONLL-U sources (paths,
     ``.gz`` allowed, or open text streams). Every (target, period)
     combination gets a profile, with total 0 when the word never
-    occurs. ``strip_subtypes`` truncates dependency relations at ``:``
-    before counting. Equal FEATS strings and equal DEPREL labels are one
-    string object across all the returned profiles.
+    occurs. ``match_form`` goes to ``TargetIndex``, ``strict`` to
+    ``parse_conllu``; ``strip_subtypes`` truncates dependency relations
+    at ``:`` before counting. Equal FEATS strings and equal DEPREL labels
+    are one string object across all the returned profiles.
 
     A period whose corpora hold no token line raises DataError. A period
     with tokens but no match, or whose matched tokens all have DEPREL
@@ -111,7 +100,7 @@ def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSp
     targets = list(targets)
     if len(corpora) < 2:
         raise ConfigError("need at least two corpus periods")
-    index = TargetIndex(targets, case_fold=case_fold, match_field=match_field)
+    index = TargetIndex(targets, case_fold=case_fold, match_form=match_form)
     # A corpus repeats few distinct FEATS strings and DEPREL labels, but
     # each token's copy is a new string. ``shared`` maps every FEATS string
     # and stored label to one object, so all count tables of this call key
@@ -121,10 +110,10 @@ def extract_profiles(corpora: Mapping[str, Iterable], targets: Iterable[TargetSp
     labels: dict[str, str] = {}
     profiles: dict[tuple[str, str], Profile] = {}
     for period, sources in corpora.items():
-        by_word = {spec.word_id: Profile(spec.word_id, period) for spec in targets}
+        by_word = {spec.word_id: Profile() for spec in targets}
         tokens = 0
         for source in sources:
-            for sentence in _iter_source(source, period, errors):
+            for sentence in _iter_source(source, period, strict):
                 tokens += len(sentence)
                 for word_id, token in index.match(sentence):
                     deprel = token[DEPREL]
@@ -160,12 +149,12 @@ def _check_period(period: str, sources, tokens: int, period_profiles) -> None:
                        "(an untagged corpus?) (%s)", period, names)
 
 
-def _iter_source(source, period: str, errors: str):
+def _iter_source(source, period: str, strict: bool):
     if hasattr(source, "read"):
-        yield from parse_conllu(source, errors=errors)
+        yield from parse_conllu(source, strict=strict)
         return
     with reading(source, f"corpus for period {period!r}:", DataError, open_corpus) as f:
-        yield from parse_conllu(f, errors=errors)
+        yield from parse_conllu(f, strict=strict)
 
 
 @dataclass
@@ -181,15 +170,9 @@ class ProfileStore:
     def word_ids(self) -> list[str]:
         return sorted({word_id for word_id, _ in self.profiles})
 
-    def get(self, word_id: str, period: str) -> Profile:
-        try:
-            return self.profiles[(word_id, period)]
-        except KeyError:
-            raise DataError(f"no profile for word {word_id!r} in period {period!r}")
-
     def save(self, stream: TextIO) -> None:
         """Write the store as JSON lines: a version header followed by
-        one record per (word_id, period)."""
+        one record per (word_id, period) key."""
         header = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -201,8 +184,8 @@ class ProfileStore:
         for (word_id, period) in sorted(self.profiles, key=lambda k: (k[0], order.get(k[1], 0))):
             p = self.profiles[(word_id, period)]
             record = {
-                "word_id": p.word_id,
-                "period": p.period,
+                "word_id": word_id,
+                "period": period,
                 "total": p.total,
                 "morph": p.morph,
                 "synt": p.synt,
@@ -254,12 +237,18 @@ class ProfileStore:
             if period not in known_periods:
                 raise DataError(f"profile store line {line_number}: period {period!r} "
                                 f"is not one of the header's periods {periods}")
-            profile = Profile(word_id, period, morph, synt, total)
-            profile.validate()
+            if min(morph.values(), default=1) < 1 or min(synt.values(), default=1) < 1:
+                raise DataError(f"profile store line {line_number}: zero or negative count")
+            if sum(synt.values()) != total:
+                raise DataError(f"profile store line {line_number}: syntax counts do not "
+                                f"sum to total")
+            if sum(morph.values()) > total:
+                raise DataError(f"profile store line {line_number}: morphology counts "
+                                f"exceed total")
             key = (word_id, period)
             if key in profiles:
                 raise DataError(f"profile store line {line_number}: duplicate record {key}")
-            profiles[key] = profile
+            profiles[key] = Profile(morph, synt, total)
         for word_id in sorted({word_id for word_id, _ in profiles}):
             for period in periods:
                 if (word_id, period) not in profiles:

@@ -162,11 +162,9 @@ def score_separated(profile_a: Profile, profile_b: Profile, config: MethodConfig
     return per_category, math.fsum(distances) / len(distances)
 
 
-def score_word_pair(profile_a: Profile, profile_b: Profile,
+def score_word_pair(word_id: str, profile_a: Profile, profile_b: Profile,
                     config: MethodConfig) -> ChangeScore:
     """Compute one word's change score under the configured method."""
-    if profile_a.word_id != profile_b.word_id:
-        raise ValueError("profiles belong to different words")
     d_morph: Optional[float] = None
     d_synt: Optional[float] = None
     per_category: dict[str, float] = {}
@@ -197,7 +195,7 @@ def score_word_pair(profile_a: Profile, profile_b: Profile,
         aggregate = max([*per_category.values(), d_synt])
 
     return ChangeScore(
-        word_id=profile_a.word_id,
+        word_id=word_id,
         aggregate=aggregate,
         d_morph=d_morph,
         d_synt=d_synt,
@@ -225,4 +223,5 @@ def score_period_pair(profiles: Mapping[tuple[str, str], Profile],
         if not any(profile.total for profile in period_profiles):
             raise DataError(f"period {period!r}: no target word occurs in it, so the "
                             f"pair {period_a!r}-{period_b!r} cannot be scored")
-    return [score_word_pair(profile_a, profile_b, config) for profile_a, profile_b in pairs]
+    return [score_word_pair(word_id, profile_a, profile_b, config)
+            for word_id, (profile_a, profile_b) in zip(word_ids, pairs)]

@@ -119,6 +119,6 @@ def random_store(rng, words, periods):
                 cuts = sorted(rng.sample(range(1, total), len(deprels) - 1))
                 synt = {deprel: high - low for deprel, low, high
                         in zip(deprels, [0, *cuts], [*cuts, total])}
-            profiles[(word_id, period)] = Profile(word_id, period, morph, synt, total)
+            profiles[(word_id, period)] = Profile(morph, synt, total)
     return ProfileStore(periods=list(periods), profiles=profiles,
                         options={"dataset": "random"})

@@ -4,13 +4,15 @@ required.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one pass/fail
 line per criterion. Criterion 7 needs externally supplied pre-tagged
-corpora (see README, "Reproducing the published numbers") and is
-skipped unless GRAMPROF_SEMEVAL_DIR points at them.
+corpora (see README, "Reproducing the reference results") and is
+skipped unless GRAMPROF_SEMEVAL_DIR points at them; it runs the
+harness of ``demos/semeval_reproduction.py``.
 """
 
 import io
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,8 @@ import pytest
 
 from gramprof.analysis import build_feature_matrix, category_correlations, \
     standardize, train_logreg
-from gramprof.cli import load_dataset_spec
-from gramprof.conllu import load_targets
 from gramprof.decision import classify_changepoint, rank_words
-from gramprof.evaluation import graded_gold, load_gold, spearman
+from gramprof.evaluation import graded_gold, spearman
 from gramprof.profiles import Profile, extract_profiles, separate_categories
 from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
                               score_separated, score_period_pair, score_word_pair)
@@ -29,17 +29,12 @@ from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_
 from oracles import best_split_oracle, cosine_distance_oracle, spearman_oracle
 from synth import synthetic_corpus_pair
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
+from semeval_reproduction import (BEST_CONFIG, EXPECTED_SPEARMAN,  # noqa: E402
+                                  SPEARMAN_TOLERANCE, run_language)
+
 SEPARATED_MAX = MethodConfig(feature_kind="morphology", separation=True,
                              aggregation="max", filter_threshold=0.05)
-
-# mean Spearman 0.369 across these four under the best configuration
-SEMEVAL_EXPECTED_SPEARMAN = {
-    "english": 0.320,
-    "german": 0.298,
-    "latin": 0.525,
-    "swedish": 0.334,
-}
-SEMEVAL_TOLERANCE = 0.03
 
 
 def report(criterion, message):
@@ -57,8 +52,7 @@ def test_criterion_1_category_separation_reference_counts():
         "Mood=Ind|Tense=Pres|VerbForm=Fin": 1,
         "Tense=Past|VerbForm=Part": 1,
     }
-    profile = Profile("circle", "1810-1860", morph=morph, synt={"root": 102},
-                      total=102)
+    profile = Profile(morph=morph, synt={"root": 102}, total=102)
     assert separate_categories(profile) == {
         "Tense": {"Past": 42, "Pres": 51},
         "VerbForm": {"Part": 68, "Fin": 25, "Inf": 9},
@@ -144,12 +138,12 @@ def test_criterion_5_synthetic_signal_detection():
     report(5, f"changed words ranked above stable words in {successes}/100 trials")
 
 
-def random_valid_profile(rng, word, period):
+def random_valid_profile(rng):
     """Token-wise construction, so the counting invariants hold."""
     categories = ["Case", "Gender", "Mood", "Number", "Tense"]
     values = ["A", "B", "C", "D"]
     deprels = ["nsubj", "obj", "obl", "root", "nmod"]
-    profile = Profile(word, period)
+    profile = Profile()
     for _ in range(rng.randrange(1, 120)):
         if rng.random() < 0.15:
             feats = "_"
@@ -174,10 +168,13 @@ def test_criterion_6_property_suite():
                      filter_threshold=0.05),
     ]
     for _ in range(500):
-        profile_a = random_valid_profile(rng, "w", "a")
-        profile_b = random_valid_profile(rng, "w", "b")
+        profile_a = random_valid_profile(rng)
+        profile_b = random_valid_profile(rng)
         for profile in (profile_a, profile_b):
-            profile.validate()
+            # the counting invariants the store loader checks
+            assert min([*profile.morph.values(), *profile.synt.values()], default=1) >= 1
+            assert sum(profile.synt.values()) == profile.total
+            assert sum(profile.morph.values()) <= profile.total
             separated = separate_categories(profile)
             for category, value_counts in separated.items():
                 expected = sum(
@@ -199,8 +196,8 @@ def test_criterion_6_property_suite():
 
         # bounds and symmetry for every method
         for config in all_methods:
-            forward = score_word_pair(profile_a, profile_b, config)
-            backward = score_word_pair(profile_b, profile_a, config)
+            forward = score_word_pair("w", profile_a, profile_b, config)
+            backward = score_word_pair("w", profile_b, profile_a, config)
             assert 0.0 <= forward.aggregate <= 1.0
             assert abs(forward.aggregate - backward.aggregate) < 1e-12
             for distance in forward.per_category.values():
@@ -210,7 +207,6 @@ def test_criterion_6_property_suite():
         unfiltered = MethodConfig(feature_kind="morphology", filter_threshold=0.0)
         scale = rng.choice([2, 3, 7, 50])
         scaled_a = Profile(
-            "w", "a",
             morph={k: scale * v for k, v in profile_a.morph.items()},
             synt={k: scale * v for k, v in profile_a.synt.items()},
             total=scale * profile_a.total,
@@ -228,7 +224,7 @@ def test_criterion_6_property_suite():
                                                aggregation="mean", filter_threshold=0.05))
         if aggregate_max is not None:
             assert aggregate_max >= aggregate_mean >= 0.0
-            combination = score_word_pair(profile_a, profile_b, MethodConfig(
+            combination = score_word_pair("w", profile_a, profile_b, MethodConfig(
                 feature_kind="combination", separation=True, filter_threshold=0.05))
             assert combination.per_category == per_category
             assert combination.aggregate >= aggregate_max
@@ -247,26 +243,22 @@ SEMEVAL_DIR = os.environ.get("GRAMPROF_SEMEVAL_DIR")
 )
 def test_criterion_7_published_spearman_reproduction():
     """Optional, external data: per-language graded-task Spearman under
-    the best configuration must match the published values within 0.03.
+    the best configuration must match the published values within 0.03,
+    as the reproduction demo computes and checks them; every one of its
+    four languages must be there.
     """
-    config = MethodConfig(feature_kind="combination", separation=True,
-                          filter_threshold=0.05)
     results = {}
-    for language, expected in SEMEVAL_EXPECTED_SPEARMAN.items():
+    for language, expected in EXPECTED_SPEARMAN.items():
         dataset_dir = Path(SEMEVAL_DIR) / language
-        spec = load_dataset_spec(dataset_dir / "dataset.yml")
-        targets = load_targets(spec.targets_path)
-        profiles = extract_profiles(dict(spec.periods), targets)
-        a, b = spec.period_labels
-        scores = score_period_pair(profiles, (a, b), config)
-        gold = graded_gold(load_gold(spec.gold_path))
-        rho = spearman({s.word_id: s.aggregate for s in scores}, gold)
+        assert dataset_dir.is_dir(), f"{language}: no {dataset_dir}"
+        predicted, gold = run_language(dataset_dir, BEST_CONFIG)
+        rho = spearman(predicted, graded_gold(gold))
         results[language] = rho
-        assert abs(rho - expected) <= SEMEVAL_TOLERANCE, (
+        assert abs(rho - expected) <= SPEARMAN_TOLERANCE, (
             f"{language}: got {rho:.3f}, published {expected:.3f}"
         )
     summary = ", ".join(f"{lang}={rho:.3f}" for lang, rho in results.items())
-    report(7, f"published Spearman reproduced within ±{SEMEVAL_TOLERANCE}: "
+    report(7, f"published Spearman reproduced within ±{SPEARMAN_TOLERANCE}: "
               f"{summary}")
 
 

@@ -97,16 +97,12 @@ def test_standardize_needs_two_rows():
 
 def small_profiles():
     profiles = {}
-    profiles[("lass", "old")] = Profile("lass", "old",
-                                        {"Number=Sing": 70, "Number=Plur": 30},
+    profiles[("lass", "old")] = Profile({"Number=Sing": 70, "Number=Plur": 30},
                                         {"nsubj": 100}, 100)
-    profiles[("lass", "new")] = Profile("lass", "new",
-                                        {"Number=Sing": 95, "Number=Plur": 5},
+    profiles[("lass", "new")] = Profile({"Number=Sing": 95, "Number=Plur": 5},
                                         {"nsubj": 60, "obj": 40}, 100)
-    profiles[("walk", "old")] = Profile("walk", "old", {"Tense=Past": 10},
-                                        {"root": 10}, 10)
-    profiles[("walk", "new")] = Profile("walk", "new", {"Tense=Pres": 10},
-                                        {"root": 10}, 10)
+    profiles[("walk", "old")] = Profile({"Tense=Past": 10}, {"root": 10}, 10)
+    profiles[("walk", "new")] = Profile({"Tense=Pres": 10}, {"root": 10}, 10)
     return profiles
 
 
@@ -352,9 +348,9 @@ def test_exact_p_roughly_tracks_t_approximation():
 
 def lass_profiles():
     return {
-        "old": Profile("lass", "old", {"Number=Sing": 338, "Number=Plur": 114},
+        "old": Profile({"Number=Sing": 338, "Number=Plur": 114},
                        {"nsubj": 452}, 452),
-        "new": Profile("lass", "new", {"Number=Sing": 90, "Number=Plur": 10},
+        "new": Profile({"Number=Sing": 90, "Number=Plur": 10},
                        {"nsubj": 100}, 100),
     }
 
@@ -384,8 +380,7 @@ def test_timeline_zero_fills_absent_value():
 
 
 def test_timeline_single_period():
-    rows = timeline({"only": Profile("w", "only", {"Case=Nom": 5},
-                                     {"root": 5}, 5)}, "Case")
+    rows = timeline({"only": Profile({"Case=Nom": 5}, {"root": 5}, 5)}, "Case")
     assert len(rows) == 1
 
 

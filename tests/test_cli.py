@@ -168,7 +168,7 @@ def test_score_ties_a_proportional_profile_with_an_unchanged_one_by_word_id(
     new = {"a": old["a"], "m": {"Number=Sing": 1, "Number=Plur": 4},
            "z": {"Number=Sing": 2, "Number=Plur": 2}}
     store = ProfileStore(["old", "new"], {
-        (word_id, period): Profile(word_id, period, dict(counts),
+        (word_id, period): Profile(dict(counts),
                                    {"nsubj": sum(counts.values())}, sum(counts.values()))
         for period, words in (("old", old), ("new", new))
         for word_id, counts in words.items()})
@@ -368,19 +368,33 @@ def test_dataset_pairs_key_warns_and_changes_nothing(dataset, caplog):
     assert with_pairs.read_bytes() == plain.read_bytes()
 
 
-@pytest.mark.parametrize("periods", [
-    "periods: abc\n",
-    "periods: null\n",
-    "periods: [old.conllu, new.conllu]\n",
-    "periods:\n  old: [old.conllu]\n  new: [new.conllu]\n",
-], ids=["string", "null", "list-of-paths", "mapping"])
-def test_malformed_dataset_periods_exit_2(dataset, capsys, periods):
+OLD_AND_NEW = ("periods:\n  - label: old\n    paths: [old.conllu]\n"
+               "  - label: new\n    paths: [new.conllu]\n")
+
+
+# malformed periods, then the other ways a dataset config is rejected
+@pytest.mark.parametrize("text, message", [
+    ("targets: targets.tsv\nperiods: abc\n", "'label' and 'paths'"),
+    ("targets: targets.tsv\nperiods: null\n", "'label' and 'paths'"),
+    ("targets: targets.tsv\nperiods: [old.conllu, new.conllu]\n", "'label' and 'paths'"),
+    ("targets: targets.tsv\nperiods:\n  old: [old.conllu]\n  new: [new.conllu]\n",
+     "'label' and 'paths'"),
+    ("targets: targets.tsv\nperiods: [unclosed\n", " is not valid YAML: "),
+    ("- targets.tsv\n- old.conllu\n", ": expected a mapping at the top level"),
+    (OLD_AND_NEW, ": missing required key 'targets'"),
+    ("targets: none.tsv\n" + OLD_AND_NEW, ": target file not found: "),
+    ("targets: targets.tsv\n" + OLD_AND_NEW[:OLD_AND_NEW.index("  - label: new")],
+     ": dataset needs at least 2 periods"),
+    ("targets: targets.tsv\n" + OLD_AND_NEW.replace("label: new", "label: old"),
+     ": duplicate period labels"),
+], ids=["string", "null", "list-of-paths", "mapping", "yaml-syntax", "top-level-list",
+        "no-targets-key", "no-targets-file", "one-period", "repeated-label"])
+def test_malformed_dataset_periods_exit_2(dataset, capsys, text, message):
     config = dataset / "bad.yml"
-    config.write_text("targets: targets.tsv\n" + periods, encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     assert run(["extract", "-c", config, "-o", dataset / "store.jsonl"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config ") and "bad.yml" in err
-    assert "'label' and 'paths'" in err
+    assert err.startswith(f"error: config {config}") and message in err
     assert not (dataset / "store.jsonl").exists()
 
 
@@ -569,16 +583,23 @@ def test_exact_p_report_writes_plain_booleans(demo, capsys, output_format):
         assert [line.split()[3] for line in lines[1:]] == ["no"] * (len(lines) - 1)
 
 
-@pytest.mark.parametrize("command", [
-    ["score", "{store}"],
-    ["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
-], ids=lambda command: command[0])
-def test_pair_naming_one_period_twice_exits_2(demo, capsys, command):
+# and a store of three periods, where --pair must choose two
+@pytest.mark.parametrize("command, message", [
+    (["score", "{store}", "--pair", "old", "old"],
+     "--pair must name two different periods, got 'old' twice"),
+    (["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg", "--pair", "old", "old"],
+     "--pair must name two different periods, got 'old' twice"),
+    (["score", "{three}"], "store has periods ['a', 'b', 'c']; select two with --pair"),
+], ids=["score", "analyze", "three-periods"])
+def test_pair_naming_one_period_twice_exits_2(demo, tmp_path, capsys, command, message):
+    three = tmp_path / "three.jsonl"
+    with open(three, "w", encoding="utf-8") as f:
+        synth.random_store(random.Random(3), 4, ["a", "b", "c"]).save(f)
     capsys.readouterr()
-    assert run([arg.format(**demo) for arg in command] + ["--pair", "old", "old"]) == 2
+    assert run([arg.format(three=three, **demo) for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--pair must name two different periods, got 'old' twice" in captured.err
+    assert f"error: {message}" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
@@ -669,7 +690,7 @@ def random_store(path, rng, n_words):
     profiles = {}
     for i in range(n_words):
         for period in ("old", "new"):
-            profile = profiles[(f"w{i:03d}", period)] = Profile(f"w{i:03d}", period)
+            profile = profiles[(f"w{i:03d}", period)] = Profile()
             for _ in range(rng.randrange(1, 31)):
                 profile.add_token(rng.choice(feats), rng.choice(deprels))
     store = ProfileStore(periods=["old", "new"], profiles=profiles)
@@ -860,7 +881,7 @@ def suffixed_store(path, rng, n_words):
     ``_vb`` to the odd ones, saved to ``path``."""
     store = synth.random_store(rng, n_words, ["old", "new"])
     suffix = {w: w + ("_nn" if i % 2 == 0 else "_vb") for i, w in enumerate(store.word_ids)}
-    store.profiles = {(suffix[w], p): Profile(suffix[w], p, q.morph, q.synt, q.total)
+    store.profiles = {(suffix[w], p): Profile(q.morph, q.synt, q.total)
                       for (w, p), q in store.profiles.items()}
     with open(path, "w", encoding="utf-8") as f:
         store.save(f)
@@ -1021,24 +1042,50 @@ def test_byte_order_mark_reads_as_the_file_without_it(demo, tmp_path, name, argv
     assert results[1] == results[0]
 
 
-@pytest.mark.parametrize("name, line, argv, code", [
-    ("targets.tsv", "w1\t\t\n", ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"],
-     2),
-    ("targets.tsv", "walk_any\twalk\t,\n", ["extract", "-c", "{d}/dataset.yml", "-o",
-                                            "{d}/out"], 2),
-    ("gold.tsv", "w\t-\t-\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"],
-     1),
-    ("gold.tsv", "w\t2\t0.5\n", ["evaluate", "{scores}", "{d}/gold.tsv", "--task",
-                                  "graded"], 1),
-], ids=["empty-lemma", "empty-pos-filter", "no-gold-value", "binary-not-0-or-1"])
-def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, line,
-                                                  argv, code):
+EXTRACT = ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"]
+EVALUATE_GRADED = ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"]
+COMMENTS_ONLY = "# a comment\n\n# another\n"
+
+
+# (file, its new text from the demo file's text, argv, exit code, error
+# message): a rejected record names its file and line; a file without
+# records names the file; a gold file without the task's values says so
+@pytest.mark.parametrize("name, edit, argv, code, message", [
+    ("targets.tsv", lambda text: text + "w1\t\t\n", EXTRACT, 2, "{file}: line {last}: "),
+    ("targets.tsv", lambda text: text + "walk_any\twalk\t,\n", EXTRACT, 2,
+     "{file}: line {last}: "),
+    ("gold.tsv", lambda text: text + "w\t-\t-\n", EVALUATE_GRADED, 1,
+     "{file}: line {last}: "),
+    ("gold.tsv", lambda text: text + "w\t2\t0.5\n", EVALUATE_GRADED, 1,
+     "{file}: line {last}: "),
+    ("targets.tsv", lambda text: text + "\tlass\n", EXTRACT, 2,
+     "{file}: line {last}: target with empty word_id"),
+    ("targets.tsv", lambda text: COMMENTS_ONLY, EXTRACT, 2,
+     "{file}: no word_id<TAB>lemma[<TAB>upos1,upos2] lines found"),
+    ("gold.tsv", lambda text: COMMENTS_ONLY, EVALUATE_GRADED, 1,
+     "{file}: no word_id<TAB>binary<TAB>graded lines found"),
+    ("scores.tsv", lambda text: COMMENTS_ONLY, ["rank", "{d}/scores.tsv"], 1,
+     "{file}: no word_id<TAB>score lines found"),
+    ("gold.tsv", lambda text: text.replace("\t1\t", "\t-\t").replace("\t0\t", "\t-\t"),
+     ["evaluate", "{labels}", "{d}/gold.tsv", "--task", "binary"], 1,
+     "gold data contains no binary labels"),
+    ("gold.tsv", lambda text: "".join(line.rsplit("\t", 1)[0] + "\t-\n"
+                                      for line in text.splitlines()),
+     EVALUATE_GRADED, 1, "gold data contains no graded scores"),
+], ids=["empty-lemma", "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
+        "empty-word-id", "targets-without-records", "gold-without-records",
+        "scores-without-records", "gold-without-binary-labels",
+        "gold-without-graded-scores"])
+def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
+                                                  argv, code, message):
     d = demo_copy(tmp_path)
-    lines = (d / name).read_text(encoding="utf-8") + line
-    (d / name).write_text(lines, encoding="utf-8")
+    (d / "scores.tsv").write_bytes(demo["scores"].read_bytes())
+    text = edit((d / name).read_text(encoding="utf-8"))
+    (d / name).write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert run([a.format(**dict(demo, d=d)) for a in argv]) == code
-    assert f"error: {d / name}: line {lines.count(chr(10))}: " in capsys.readouterr().err
+    assert ("error: " + message.format(file=d / name, last=text.count("\n"))
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1133,7 +1180,7 @@ def test_pair_with_a_period_no_word_occurs_in_exits_1(tmp_path, argv, empty):
     # zero-profile distance and the ranking would say nothing.
     counts = {"old": {"a": 3, "b": 2}, "new": {"a": 0 if empty == "new" else 2, "b": 0}}
     store = ProfileStore(["old", "new"], {
-        (word_id, period): Profile(word_id, period, {"Number=Sing": n} if n else {},
+        (word_id, period): Profile({"Number=Sing": n} if n else {},
                                    {"nsubj": n} if n else {}, n)
         for period, totals in counts.items() for word_id, n in totals.items()})
     with open(tmp_path / "store.jsonl", "w", encoding="utf-8") as f:

@@ -91,7 +91,7 @@ def test_multiword_ranges_and_empty_nodes_skipped():
 def test_malformed_line_strict():
     bad = "1\tonly\tnine\tN\t_\t_\t0\troot\t_\n"
     with pytest.raises(ConlluParseError) as err:
-        parse_text(bad, errors="strict")
+        parse_text(bad, strict=True)
     assert err.value.line_number == 1
     assert "9" in str(err.value)
 
@@ -145,10 +145,10 @@ def test_parser_matches_line_oracle(seed, caplog):
 
         if malformed:
             with pytest.raises(ConlluParseError) as err:
-                list(parse_conllu(lines, errors="strict"))
+                list(parse_conllu(lines, strict=True))
             assert err.value.line_number == malformed[0]
         else:
-            assert list(parse_conllu(lines, errors="strict")) == expected
+            assert list(parse_conllu(lines, strict=True)) == expected
 
         # A plain string is split at "\n" only, so a "\r" inside a cell
         # stays in its line.
@@ -237,9 +237,9 @@ def test_case_folding():
 
 def test_match_on_form():
     sentence = [row("went", "go", "VERB", "_", "root")]
-    matches = match(sentence, [TargetSpec("went", "went")], match_field="form")
+    matches = match(sentence, [TargetSpec("went", "went")], match_form=True)
     assert [word_id for word_id, _ in matches] == ["went"]
-    assert match(sentence, [TargetSpec("go", "go")], match_field="form") == []
+    assert match(sentence, [TargetSpec("go", "go")], match_form=True) == []
 
 
 def test_filtered_target_takes_precedence():

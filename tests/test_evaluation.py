@@ -145,12 +145,12 @@ def test_macro_f1_class_absent_from_both():
 
 
 def test_gold_record_validation():
-    GoldRecord("w", binary=1)
-    GoldRecord("w", graded=0.5)
+    GoldRecord(binary=1)
+    GoldRecord(graded=0.5)
     with pytest.raises(DataError):
-        GoldRecord("w")
+        GoldRecord()
     with pytest.raises(DataError):
-        GoldRecord("w", binary=2)
+        GoldRecord(binary=2)
 
 
 def test_load_gold(tmp_path):
@@ -164,7 +164,7 @@ def test_load_gold(tmp_path):
         encoding="utf-8",
     )
     records = load_gold(path)
-    assert records["lass"] == GoldRecord("lass", 1, 0.82)
+    assert records["lass"] == GoldRecord(1, 0.82)
     assert records["stab"].binary is None
     assert records["prop"].graded is None
     assert binary_gold(records) == {"lass": 1, "walk": 0, "prop": 1}

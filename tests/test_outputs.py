@@ -132,8 +132,7 @@ def store(run):
 
 def scaled(profile: Profile, factor: int) -> Profile:
     """``profile`` with every count and its total multiplied by ``factor``."""
-    return Profile(profile.word_id, profile.period,
-                   {k: factor * c for k, c in profile.morph.items()},
+    return Profile({k: factor * c for k, c in profile.morph.items()},
                    {k: factor * c for k, c in profile.synt.items()}, factor * profile.total)
 
 

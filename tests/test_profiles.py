@@ -218,7 +218,7 @@ def test_extract_matches_oracle_on_random_corpora(case_fold, match_form, strip):
         profiles = extract_profiles(
             {period: [io.StringIO(text) for text in each] for period, each in texts.items()},
             [TargetSpec(*target) for target in targets], case_fold=case_fold,
-            match_field="form" if match_form else "lemma", strip_subtypes=strip)
+            match_form=match_form, strip_subtypes=strip)
         assert profile_counts(profiles) == extract_oracle(
             texts, targets, case_fold=case_fold, match_form=match_form,
             strip_subtypes=strip)
@@ -249,7 +249,7 @@ def test_match_and_extract_on_gz_rows_match_oracle(tmp_path):
     specs = [TargetSpec(*target) for target in targets]
     expected = extract_oracle(texts, targets, case_fold=True, match_form=True)
 
-    index = TargetIndex(specs, case_fold=True, match_field="form")
+    index = TargetIndex(specs, case_fold=True, match_form=True)
     hits = {key: [0, {}, {}] for key in expected}
     for period, paths in files.items():
         for path in paths:
@@ -264,7 +264,7 @@ def test_match_and_extract_on_gz_rows_match_oracle(tmp_path):
                             entry[1][token[FEATS]] = entry[1].get(token[FEATS], 0) + 1
     assert {key: tuple(entry) for key, entry in hits.items()} == expected
 
-    profiles = extract_profiles(files, specs, case_fold=True, match_field="form")
+    profiles = extract_profiles(files, specs, case_fold=True, match_form=True)
     assert profile_counts(profiles) == expected
     assert sum(total for total, _, _ in expected.values()) > 50
 
@@ -291,23 +291,22 @@ def test_extract_matches_oracle_on_a_generated_dense_corpus(tmp_path):
 
 
 def test_separate_categories_reference_counts():
-    profile = Profile("circle", "t1", morph=dict(VERB_MORPH),
+    profile = Profile(morph=dict(VERB_MORPH),
                       synt={"root": 102}, total=102)
     assert separate_categories(profile) == VERB_CATEGORIES
 
 
 def test_separate_categories_empty():
-    assert separate_categories(Profile("x", "t")) == {}
+    assert separate_categories(Profile()) == {}
 
 
 def test_separate_categories_single_key():
-    profile = Profile("x", "t", morph={"Number=Sing": 3}, synt={"root": 3}, total=3)
+    profile = Profile(morph={"Number=Sing": 3}, synt={"root": 3}, total=3)
     assert separate_categories(profile) == {"Number": {"Sing": 3}}
 
 
 def test_separate_categories_skips_malformed_key():
-    profile = Profile("x", "t", morph={"Number=Sing|Broken": 2},
-                      synt={"root": 2}, total=2)
+    profile = Profile(morph={"Number=Sing|Broken": 2}, synt={"root": 2}, total=2)
     assert separate_categories(profile) == {"Number": {"Sing": 2}}
 
 
@@ -342,7 +341,7 @@ def test_separate_categories_matches_oracle_in_any_call_order(caplog):
         morph = {feats: rng.randrange(1, 40)
                  for feats in rng.sample(FEATS_POOL, rng.randrange(0, 6))}
         total = sum(morph.values()) + rng.randrange(0, 5)
-        profiles.append(Profile(f"w{i}", "t", morph, {"root": total}, total))
+        profiles.append(Profile(morph, {"root": total}, total))
     seen = set()
     for _ in range(4):
         rng.shuffle(profiles)
@@ -351,8 +350,8 @@ def test_separate_categories_matches_oracle_in_any_call_order(caplog):
 
 
 def test_malformed_feats_warns_once_per_string_until_the_cache_is_cleared(caplog):
-    first = Profile("a", "t", {"Number=Sing|Oops": 2, "Case=Nom": 1}, {"root": 3}, 3)
-    second = Profile("b", "t", {"Number=Sing|Oops": 5, "Oops": 1}, {"root": 6}, 6)
+    first = Profile({"Number=Sing|Oops": 2, "Case=Nom": 1}, {"root": 3}, 3)
+    second = Profile({"Number=Sing|Oops": 5, "Oops": 1}, {"root": 6}, 6)
     warning = "skipping malformed FEATS entry 'Oops' in {!r}"
     for _ in range(2):
         parse_feats.cache_clear()
@@ -377,7 +376,7 @@ def test_count_preservation_random():
             feats = "|".join(f"{k}={rng.choice(values)}" for k in sorted(keys))
             morph[feats] = morph.get(feats, 0) + rng.randrange(1, 50)
         total = sum(morph.values()) + rng.randrange(0, 5)
-        profile = Profile("w", "t", morph=morph, synt={"root": total}, total=total)
+        profile = Profile(morph=morph, synt={"root": total}, total=total)
         separated = separate_categories(profile)
         for category, value_counts in separated.items():
             expected = sum(
@@ -407,10 +406,10 @@ def test_build_vectors_identical():
 
 def make_store():
     profiles = {
-        ("lass", "old"): Profile("lass", "old", {"Number=Sing": 2}, {"nsubj": 3}, 3),
-        ("lass", "new"): Profile("lass", "new", {}, {"obj": 1}, 1),
-        ("stab", "old"): Profile("stab", "old", {}, {}, 0),
-        ("stab", "new"): Profile("stab", "new", {"Number=Sing": 1}, {"nsubj": 1}, 1),
+        ("lass", "old"): Profile({"Number=Sing": 2}, {"nsubj": 3}, 3),
+        ("lass", "new"): Profile({}, {"obj": 1}, 1),
+        ("stab", "old"): Profile({}, {}, 0),
+        ("stab", "new"): Profile({"Number=Sing": 1}, {"nsubj": 1}, 1),
     }
     return ProfileStore(periods=["old", "new"], profiles=profiles,
                         options={"dataset": "toy"})
@@ -424,6 +423,9 @@ def test_store_round_trip():
     assert loaded.periods == store.periods
     assert loaded.options == store.options
     assert loaded.profiles == store.profiles
+    # a token without FEATS leaves lass/old's morphology counts below its total
+    lass = loaded.profiles[("lass", "old")]
+    assert sum(lass.morph.values()) < lass.total
 
 
 def test_store_save_deterministic():
@@ -438,15 +440,17 @@ def test_store_rejects_wrong_format():
         ProfileStore.load(io.StringIO('{"format": "something-else", "version": 1}\n'))
 
 
-def test_store_rejects_bad_counts():
-    store = make_store()
-    store.profiles[("lass", "old")].total = 99  # breaks the synt-sum invariant
-    buffer = io.StringIO()
-    store.save(buffer)
-    with pytest.raises(DataError):
-        ProfileStore.load(io.StringIO(buffer.getvalue()))
+def replace_in_line(number, old, new):
+    """An edit of a saved store's lines: ``old`` becomes ``new`` in line
+    ``number`` (1-based)."""
+    def edit(lines):
+        assert old in lines[number - 1]
+        return lines[:number - 1] + [lines[number - 1].replace(old, new)] + lines[number:]
+    return edit
 
 
+# make_store saves the header, then lass/old, lass/new, stab/old and
+# stab/new on lines 2-5
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines + [lines[-1].replace('"period": "new"', '"period": "mid"')],
      "line 6: period 'mid' is not one of the header's periods"),
@@ -456,22 +460,27 @@ def test_store_rejects_bad_counts():
     (lambda lines: ['["grammatical-profile-store"]\n'] + lines[1:], "not a profile store"),
     (lambda lines: [lines[0].replace('{"dataset": "toy"}', '[1]')] + lines[1:],
      "options must be an object"),
+    (replace_in_line(4, '"synt": {}', '"synt": {"nsubj": 2}'),
+     "^profile store line 4: syntax counts do not sum to total$"),
+    (replace_in_line(3, '"synt": {"obj": 1}', '"synt": {"nsubj": 0, "obj": 1}'),
+     "^profile store line 3: zero or negative count$"),
+    (replace_in_line(5, '"morph": {"Number=Sing": 1}', '"morph": {"Number=Sing": 2}'),
+     "^profile store line 5: morphology counts exceed total$"),
+    (lambda lines: [], "^profile store is empty$"),
+    (lambda lines: ["not json\n"] + lines[1:], "^profile store header is not valid JSON: "),
+    (replace_in_line(1, '"version": 1', '"version": 2'),
+     "^unsupported profile store version 2$"),
+    (replace_in_line(2, ', "word_id": "lass"', ""),
+     "^profile store line 2: bad record: 'word_id'$"),
 ], ids=["unknown-period", "grid-gap", "period-not-string", "header-not-object",
-        "options-not-object"])
+        "options-not-object", "synt-sum-not-total", "zero-count", "morph-exceeds-total",
+        "empty", "header-not-json", "version-2", "no-word-id"])
 def test_store_rejects_bad_header_and_grid(edit, message):
     buffer = io.StringIO()
     make_store().save(buffer)
     text = "".join(edit(buffer.getvalue().splitlines(keepends=True)))
     with pytest.raises(DataError, match=message):
         ProfileStore.load(io.StringIO(text))
-
-
-def test_profile_validate():
-    Profile("w", "t", {"Number=Sing": 1}, {"nsubj": 2}, 2).validate()
-    with pytest.raises(DataError):
-        Profile("w", "t", {"Number=Sing": 3}, {"nsubj": 2}, 2).validate()
-    with pytest.raises(DataError):
-        Profile("w", "t", {}, {"nsubj": 0}, 0).validate()
 
 
 # ----------------------------------------------------------------------
@@ -494,8 +503,7 @@ def load_line_by_line(text):
     for line in lines[1:]:
         if line.strip():
             r = json.loads(line)
-            profiles[(r["word_id"], r["period"])] = Profile(
-                r["word_id"], r["period"], r["morph"], r["synt"], r["total"])
+            profiles[(r["word_id"], r["period"])] = Profile(r["morph"], r["synt"], r["total"])
     return header["periods"], header["options"], profiles
 
 

@@ -244,8 +244,8 @@ def test_filter_monotone_in_threshold():
 # basic scoring
 
 def test_score_basic_identical_profiles():
-    profile = Profile("w", "a", {"Number=Sing": 5}, {"nsubj": 5}, 5)
-    other = Profile("w", "b", {"Number=Sing": 5}, {"nsubj": 5}, 5)
+    profile = Profile({"Number=Sing": 5}, {"nsubj": 5}, 5)
+    other = Profile({"Number=Sing": 5}, {"nsubj": 5}, 5)
     assert score_basic(profile.morph, other.morph, 5, 5, default_config()) == 0.0
     assert score_basic(profile.synt, other.synt, 5, 5, default_config()) == 0.0
 
@@ -287,18 +287,13 @@ def test_score_basic_equals_oracle_on_filtered_tables():
                        - expected) < 1e-12
 
 
-def test_score_word_pair_mismatched_words():
-    with pytest.raises(ValueError, match="different words"):
-        score_word_pair(Profile("a", "x"), Profile("b", "y"), default_config())
-
-
 # ----------------------------------------------------------------------
 # category separation
 
 def flipped_number_profiles():
-    profile_a = Profile("w", "a", {"Number=Sing": 80, "Number=Plur": 20},
+    profile_a = Profile({"Number=Sing": 80, "Number=Plur": 20},
                         {"nsubj": 100}, 100)
-    profile_b = Profile("w", "b", {"Number=Sing": 20, "Number=Plur": 80},
+    profile_b = Profile({"Number=Sing": 20, "Number=Plur": 80},
                         {"nsubj": 100}, 100)
     return profile_a, profile_b
 
@@ -314,11 +309,9 @@ def test_score_separated_flipped_number():
 
 
 def test_score_separated_max_ignores_stable_category():
-    profile_a = Profile("w", "a",
-                        {"Case=Nom|Number=Sing": 80, "Case=Nom|Number=Plur": 20},
+    profile_a = Profile({"Case=Nom|Number=Sing": 80, "Case=Nom|Number=Plur": 20},
                         {"nsubj": 100}, 100)
-    profile_b = Profile("w", "b",
-                        {"Case=Nom|Number=Sing": 20, "Case=Nom|Number=Plur": 80},
+    profile_b = Profile({"Case=Nom|Number=Sing": 20, "Case=Nom|Number=Plur": 80},
                         {"nsubj": 100}, 100)
     per_category, aggregate = score_separated(profile_a, profile_b, default_config())
     assert per_category["Case"] == 0.0
@@ -326,7 +319,7 @@ def test_score_separated_max_ignores_stable_category():
 
 
 def test_score_separated_identical_profiles():
-    profile = Profile("w", "a", dict(VERB_MORPH), {"root": 102}, 102)
+    profile = Profile(dict(VERB_MORPH), {"root": 102}, 102)
     per_category, aggregate = score_separated(profile, profile, default_config())
     assert set(per_category) == {"Mood", "Tense", "VerbForm", "Voice"}
     assert all(d == 0.0 for d in per_category.values())
@@ -336,11 +329,11 @@ def test_score_separated_identical_profiles():
 def test_score_separated_mean_aggregation():
     # the flipped Number of flipped_number_profiles plus a stable Case,
     # so max and mean differ
-    profile_a = Profile("w", "a", {"Case=Nom|Number=Sing": 40, "Case=Acc|Number=Sing": 40,
-                                   "Case=Nom|Number=Plur": 10, "Case=Acc|Number=Plur": 10},
+    profile_a = Profile({"Case=Nom|Number=Sing": 40, "Case=Acc|Number=Sing": 40,
+                         "Case=Nom|Number=Plur": 10, "Case=Acc|Number=Plur": 10},
                         {"nsubj": 100}, 100)
-    profile_b = Profile("w", "b", {"Case=Nom|Number=Sing": 10, "Case=Acc|Number=Sing": 10,
-                                   "Case=Nom|Number=Plur": 40, "Case=Acc|Number=Plur": 40},
+    profile_b = Profile({"Case=Nom|Number=Sing": 10, "Case=Acc|Number=Sing": 10,
+                         "Case=Nom|Number=Plur": 40, "Case=Acc|Number=Plur": 40},
                         {"nsubj": 100}, 100)
     per_category, aggregate_max = score_separated(profile_a, profile_b, default_config())
     _, aggregate_mean = score_separated(profile_a, profile_b,
@@ -352,8 +345,8 @@ def test_score_separated_mean_aggregation():
 
 
 def test_score_separated_category_in_one_period_only():
-    profile_a = Profile("w", "a", {"Number=Sing|Voice=Pass": 40}, {"root": 40}, 40)
-    profile_b = Profile("w", "b", {"Number=Sing": 40}, {"root": 40}, 40)
+    profile_a = Profile({"Number=Sing|Voice=Pass": 40}, {"root": 40}, 40)
+    profile_b = Profile({"Number=Sing": 40}, {"root": 40}, 40)
     per_category, aggregate = score_separated(profile_a, profile_b, default_config())
     assert per_category["Voice"] == 1.0
     assert per_category["Number"] == 0.0
@@ -366,15 +359,15 @@ def test_score_separated_filtering_happens_after_separation():
     # filtering but still feeds the Tense distribution
     morph_a = {"Tense=Pres|VerbForm=Part": 95, "Tense=Past|VerbForm=Part": 5}
     morph_b = {"Tense=Pres|VerbForm=Part": 5, "Tense=Past|VerbForm=Part": 95}
-    profile_a = Profile("w", "a", morph_a, {"root": 100}, 100)
-    profile_b = Profile("w", "b", morph_b, {"root": 100}, 100)
+    profile_a = Profile(morph_a, {"root": 100}, 100)
+    profile_b = Profile(morph_b, {"root": 100}, 100)
     per_category, _ = score_separated(profile_a, profile_b, default_config())
     assert per_category["Tense"] > 0.5
     assert per_category["VerbForm"] == 0.0
 
 
 def test_score_separated_no_categories():
-    empty = Profile("w", "a", {}, {"root": 3}, 3)
+    empty = Profile({}, {"root": 3}, 3)
     per_category, aggregate = score_separated(empty, empty, default_config())
     assert per_category == {}
     assert aggregate is None
@@ -386,16 +379,17 @@ def test_score_separated_no_categories():
 def test_combine_average():
     # the mean of the two distances ...
     profile_a, profile_b = word_profiles()
-    score = score_word_pair(profile_a, profile_b, default_config(feature_kind="average"))
+    average = default_config(feature_kind="average")
+    score = score_word_pair("w", profile_a, profile_b, average)
     assert abs(score.d_morph - FLIPPED_NUMBER_DISTANCE) < 1e-12
     assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
     assert score.aggregate == (score.d_morph + score.d_synt) / 2.0
-    same = score_word_pair(profile_a, profile_a, default_config(feature_kind="average"))
+    same = score_word_pair("w", profile_a, profile_a, average)
     assert (same.d_morph, same.d_synt, same.aggregate) == (0.0, 0.0, 0.0)
     # ... or the syntactic one when no morphological category exists
-    profile_a = Profile("w", "a", {}, {"nsubj": 60, "obj": 40}, 100)
-    profile_b = Profile("w", "b", {}, {"nsubj": 100}, 100)
-    score = score_word_pair(profile_a, profile_b,
+    profile_a = Profile({}, {"nsubj": 60, "obj": 40}, 100)
+    profile_b = Profile({}, {"nsubj": 100}, 100)
+    score = score_word_pair("w", profile_a, profile_b,
                             default_config(feature_kind="average", separation=True))
     assert score.d_morph is None and score.per_category == {}
     assert score.aggregate == score.d_synt
@@ -406,16 +400,16 @@ def test_combine_append_max():
     config = default_config(feature_kind="combination", separation=True)
     # syntax wins: Number flips, and the one dependency relation changes
     profile_a, profile_b = flipped_number_profiles()
-    new_role = Profile("w", "b", dict(profile_b.morph), {"obj": 100}, 100)
-    score = score_word_pair(profile_a, new_role, config)
+    new_role = Profile(dict(profile_b.morph), {"obj": 100}, 100)
+    score = score_word_pair("w", profile_a, new_role, config)
     assert score.d_synt == 1.0 and score.aggregate == 1.0
     # a category wins over a stable syntax
-    score = score_word_pair(profile_a, profile_b, config)
+    score = score_word_pair("w", profile_a, profile_b, config)
     assert score.d_synt == 0.0
     assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
     # no category: the syntactic distance alone
-    no_morph = Profile("w", "a", {}, {"nsubj": 60, "obj": 40}, 100)
-    score = score_word_pair(no_morph, Profile("w", "b", {}, {"nsubj": 100}, 100), config)
+    no_morph = Profile({}, {"nsubj": 60, "obj": 40}, 100)
+    score = score_word_pair("w", no_morph, Profile({}, {"nsubj": 100}, 100), config)
     assert score.per_category == {}
     assert score.aggregate == score.d_synt
     assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
@@ -428,13 +422,13 @@ def test_combination_dominates_morphology_max():
     feats = ["Number=Sing", "Number=Plur", "Case=Nom|Number=Sing", "Tense=Past", "_"]
     for _ in range(100):
         profiles = []
-        for period in ("a", "b"):
-            profile = Profile("w", period)
+        for _ in range(2):
+            profile = Profile()
             for _ in range(rng.randrange(1, 40)):
                 profile.add_token(rng.choice(feats), rng.choice(["nsubj", "obj", "root"]))
             profiles.append(profile)
-        score = score_word_pair(*profiles, combination)
-        morphology = score_word_pair(*profiles, separated_max)
+        score = score_word_pair("w", *profiles, combination)
+        morphology = score_word_pair("w", *profiles, separated_max)
         assert score.per_category == morphology.per_category
         assert score.aggregate == max([*score.per_category.values(), score.d_synt])
         if score.per_category:
@@ -460,23 +454,23 @@ def test_method_config_validation():
 
 
 def word_profiles():
-    profile_a = Profile("w", "a", {"Number=Sing": 80, "Number=Plur": 20},
+    profile_a = Profile({"Number=Sing": 80, "Number=Plur": 20},
                         {"nsubj": 60, "obj": 40}, 100)
-    profile_b = Profile("w", "b", {"Number=Sing": 20, "Number=Plur": 80},
+    profile_b = Profile({"Number=Sing": 20, "Number=Plur": 80},
                         {"nsubj": 100}, 100)
     return profile_a, profile_b
 
 
 def test_score_word_pair_morphology():
     profile_a, profile_b = word_profiles()
-    score = score_word_pair(profile_a, profile_b, default_config())
+    score = score_word_pair("w", profile_a, profile_b, default_config())
     assert score.d_synt is None
     assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
 
 
 def test_score_word_pair_syntax():
     profile_a, profile_b = word_profiles()
-    score = score_word_pair(profile_a, profile_b,
+    score = score_word_pair("w", profile_a, profile_b,
                             default_config(feature_kind="syntax"))
     assert score.d_morph is None
     expected = cosine_distance_oracle([60, 40], [100, 0])
@@ -485,10 +479,10 @@ def test_score_word_pair_syntax():
 
 def test_score_word_pair_average():
     profile_a, profile_b = word_profiles()
-    morph = score_word_pair(profile_a, profile_b, default_config()).aggregate
-    synt = score_word_pair(profile_a, profile_b,
+    morph = score_word_pair("w", profile_a, profile_b, default_config()).aggregate
+    synt = score_word_pair("w", profile_a, profile_b,
                            default_config(feature_kind="syntax")).aggregate
-    average = score_word_pair(profile_a, profile_b,
+    average = score_word_pair("w", profile_a, profile_b,
                               default_config(feature_kind="average"))
     assert abs(average.aggregate - (morph + synt) / 2) < 1e-12
 
@@ -496,7 +490,7 @@ def test_score_word_pair_average():
 def test_score_word_pair_combination():
     profile_a, profile_b = word_profiles()
     config = default_config(feature_kind="combination", separation=True)
-    score = score_word_pair(profile_a, profile_b, config)
+    score = score_word_pair("w", profile_a, profile_b, config)
     assert score.per_category["Number"] == pytest.approx(FLIPPED_NUMBER_DISTANCE)
     assert score.aggregate == max(list(score.per_category.values()) + [score.d_synt])
 
@@ -504,10 +498,10 @@ def test_score_word_pair_combination():
 def test_score_word_pair_separated_morphology_fallback():
     # no morphological features in either period: the zero-profile
     # policy decides the rank
-    profile_a = Profile("w", "a", {}, {"root": 3}, 3)
-    profile_b = Profile("w", "b", {}, {"root": 3}, 3)
+    profile_a = Profile({}, {"root": 3}, 3)
+    profile_b = Profile({}, {"root": 3}, 3)
     config = default_config(separation=True)
-    score = score_word_pair(profile_a, profile_b, config)
+    score = score_word_pair("w", profile_a, profile_b, config)
     assert score.aggregate == config.zero_profile_distance
 
 
@@ -518,24 +512,22 @@ def test_score_word_pair_symmetry():
                    default_config(feature_kind="average"),
                    default_config(separation=True),
                    default_config(feature_kind="combination", separation=True)):
-        forward = score_word_pair(profile_a, profile_b, config).aggregate
-        backward = score_word_pair(profile_b, profile_a, config).aggregate
+        forward = score_word_pair("w", profile_a, profile_b, config).aggregate
+        backward = score_word_pair("w", profile_b, profile_a, config).aggregate
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
 def test_score_period_pair_sorted_and_complete():
     profiles = {}
     for word in ("b", "a", "c"):
-        profiles[(word, "old")] = Profile(word, "old", {"Number=Sing": 2},
-                                          {"nsubj": 2}, 2)
-        profiles[(word, "new")] = Profile(word, "new", {"Number=Plur": 2},
-                                          {"obj": 2}, 2)
+        profiles[(word, "old")] = Profile({"Number=Sing": 2}, {"nsubj": 2}, 2)
+        profiles[(word, "new")] = Profile({"Number=Plur": 2}, {"obj": 2}, 2)
     scores = score_period_pair(profiles, ("old", "new"), default_config())
     assert [s.word_id for s in scores] == ["a", "b", "c"]
 
 
 def test_score_period_pair_missing_profile():
-    profiles = {("a", "old"): Profile("a", "old")}
+    profiles = {("a", "old"): Profile()}
     with pytest.raises(DataError):
         score_period_pair(profiles, ("old", "new"), default_config())
 
