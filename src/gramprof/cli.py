@@ -129,6 +129,15 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
         yield stream
 
 
+@contextmanager
+def _naming(path) -> Iterator[None]:
+    """A DataError raised inside names the input file ``path`` first."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _parse_score(columns: list[str]) -> float:
     value = float(columns[1])
     if not math.isfinite(value):
@@ -155,7 +164,7 @@ def _read_label_tsv(path) -> dict[str, int]:
 
 
 def _load_store(path) -> ProfileStore:
-    with reading(path, "profile store", DataError) as f:
+    with reading(path, "profile store", DataError) as f, _naming(path):
         return ProfileStore.load(f)
 
 
@@ -301,7 +310,8 @@ def cmd_evaluate(args) -> int:
     rows: list[dict]
     if args.task == "binary":
         pred = _read_label_tsv(args.pred)
-        gold = binary_gold(gold_records)
+        with _naming(args.gold):
+            gold = binary_gold(gold_records)
         f1 = per_class_f1(pred, gold)
         rows = [
             {"metric": "accuracy", "value": accuracy(pred, gold)},
@@ -312,7 +322,8 @@ def cmd_evaluate(args) -> int:
         ]
     else:
         pred = _read_score_tsv(args.pred)
-        gold = graded_gold(gold_records)
+        with _naming(args.gold):
+            gold = graded_gold(gold_records)
         rows = [
             {"metric": "spearman", "value": spearman(pred, gold)},
             {"metric": "n", "value": len(pred)},
@@ -339,7 +350,8 @@ def cmd_analyze(args) -> int:
         gold_records = {w: r for w, r in gold_records.items() if w in kept}
 
     if args.report == "logreg":
-        gold = binary_gold(gold_records)
+        with _naming(args.gold):
+            gold = binary_gold(gold_records)
         standardized, constant = standardize(matrix)
         for column in constant:
             logger.warning("category %r has constant distances; weight is "
@@ -362,7 +374,8 @@ def cmd_analyze(args) -> int:
         ]
         _emit_report(summary, sys.stdout, args.format, ["metric", "value"])
     else:
-        gold = graded_gold(gold_records)
+        with _naming(args.gold):
+            gold = graded_gold(gold_records)
         results = category_correlations(
             matrix, gold,
             missing_as_absent=args.missing_as_absent,

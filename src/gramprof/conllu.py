@@ -46,8 +46,9 @@ class TargetSpec:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def parse_feats(feats: str) -> tuple[str, ...]:
-    """The well-formed ``K=V`` entries of a FEATS string, in order.
+def parse_feats(feats: str) -> tuple[tuple[str, str], ...]:
+    """The ``(category, value)`` pairs of a FEATS string's well-formed
+    ``K=V`` entries, in order; an entry's category ends at its first ``=``.
 
     ``_`` and the empty string hold none. An entry without ``=`` or
     with an empty key is skipped with a warning. The result is cached
@@ -56,13 +57,14 @@ def parse_feats(feats: str) -> tuple[str, ...]:
     """
     if feats == "_" or feats == "":
         return ()
-    items = []
+    pairs = []
     for item in feats.split("|"):
-        if item.find("=") < 1:  # no "=", or an empty key
+        key, equals, value = item.partition("=")
+        if not key or not equals:
             logger.warning("skipping malformed FEATS entry %r in %r", item, feats)
             continue
-        items.append(item)
-    return tuple(items)
+        pairs.append((key, value))
+    return tuple(pairs)
 
 
 def strip_deprel_subtype(deprel: str) -> str:

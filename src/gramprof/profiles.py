@@ -48,25 +48,18 @@ def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
     category -> value -> count.
 
     Each FEATS string ``K1=V1|K2=V2`` with count c adds c to every
-    (Ki, Vi) cell, so per-category sums are preserved. The entries are
-    those ``parse_feats`` keeps: a malformed one (no ``=``, or an empty
+    (Ki, Vi) cell, so per-category sums are preserved. The pairs are
+    those ``parse_feats`` keeps: a malformed entry (no ``=``, or an empty
     key) is skipped, and warned about when its string is first split.
     """
-    item_counts: dict[str, int] = {}
-    get = item_counts.get
-    for feats, count in profile.morph.items():
-        for item in parse_feats(feats):
-            item_counts[item] = get(item, 0) + count
-    # Each item is a distinct (category, value) cell; its category ends
-    # at the first "=".
     categories: dict[str, dict[str, int]] = {}
-    for item, count in item_counts.items():
-        key, _, value = item.partition("=")
-        values = categories.get(key)
-        if values is None:
-            categories[key] = {value: count}
-        else:
-            values[value] = count
+    for feats, count in profile.morph.items():
+        for key, value in parse_feats(feats):
+            values = categories.get(key)
+            if values is None:
+                categories[key] = {value: count}
+            else:
+                values[value] = values.get(value, 0) + count
     return categories
 
 
@@ -278,19 +271,23 @@ def _decoded_records(stream: TextIO) -> Iterator[tuple[int, object]]:
 
 
 def _decode_batch(batch: list[tuple[int, str]]) -> Iterator[tuple[int, object]]:
-    """Decode a batch of lines at once. A batch that does not decode to
-    exactly one value per line is read again one line at a time, so the
+    """Decode a batch of lines at once, joined with a 0 between every two.
+    The batch is valid only when it decodes to one value per line with
+    exactly that 0 between every two: an object split over lines is not
+    JSON with a 0 inside it, and a second record on one line stands where
+    a 0 belongs. Any other batch is read again one line at a time, so the
     first line that fails to decode names itself, and the values of the
     lines before it are yielded (and checked by the caller) first."""
     # Besides JSONDecodeError (a ValueError), json.loads raises ValueError
     # on an integer of more than sys.get_int_max_str_digits() digits and
     # RecursionError on too deep a nesting.
     try:
-        values = json.loads("[" + ",".join([line for _, line in batch]) + "]")
+        values = json.loads("[" + ",0,".join([line for _, line in batch]) + "]")
     except (ValueError, RecursionError):
         values = None
-    if values is not None and len(values) == len(batch):
-        yield from zip([line_number for line_number, _ in batch], values)
+    if values is not None and len(values) == 2 * len(batch) - 1 \
+            and values[1::2] == [0] * (len(batch) - 1):
+        yield from zip([line_number for line_number, _ in batch], values[::2])
         return
     for line_number, line in batch:
         try:

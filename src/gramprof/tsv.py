@@ -15,18 +15,19 @@ def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
              max_columns: int) -> dict[str, T]:
     """Read ``path`` into {first column: parse(columns)}, in file order.
 
-    Blank lines and ``#`` comments are skipped. A line with fewer than
-    ``min_columns`` or more than ``max_columns`` columns, a line whose
-    columns ``parse`` rejects (ValueError or GramprofError), a repeated
-    first column and a file without records raise ``error`` naming the
-    file and line; ``layout`` describes a valid line in the message. The
-    file is read through ``errors.reading``, which names it as ``what``.
+    Blank lines (empty, or only whitespace) and ``#`` comments are
+    skipped. A line with fewer than ``min_columns`` or more than
+    ``max_columns`` columns, a line whose columns ``parse`` rejects
+    (ValueError or GramprofError), a repeated first column and a file
+    without records raise ``error`` naming the file and line; ``layout``
+    describes a valid line in the message. The file is read through
+    ``errors.reading``, which names it as ``what``.
     """
     records: dict[str, T] = {}
     with reading(path, what, error) as f:
         for line_number, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
+            if not line.strip() or line.startswith("#"):
                 continue
             columns = line.split("\t")
             where = f"{path}: line {line_number}"

@@ -1045,6 +1045,15 @@ def test_byte_order_mark_reads_as_the_file_without_it(demo, tmp_path, name, argv
 EXTRACT = ["extract", "-c", "{d}/dataset.yml", "-o", "{d}/out"]
 EVALUATE_GRADED = ["evaluate", "{scores}", "{d}/gold.tsv", "--task", "graded"]
 COMMENTS_ONLY = "# a comment\n\n# another\n"
+ANALYZE = ["analyze", "{store}", "{d}/gold.tsv"]
+
+
+def without_binary_labels(text):
+    return text.replace("\t1\t", "\t-\t").replace("\t0\t", "\t-\t")
+
+
+def without_graded_scores(text):
+    return "".join(line.rsplit("\t", 1)[0] + "\t-\n" for line in text.splitlines())
 
 
 # (file, its new text from the demo file's text, argv, exit code, error
@@ -1066,16 +1075,22 @@ COMMENTS_ONLY = "# a comment\n\n# another\n"
      "{file}: no word_id<TAB>binary<TAB>graded lines found"),
     ("scores.tsv", lambda text: COMMENTS_ONLY, ["rank", "{d}/scores.tsv"], 1,
      "{file}: no word_id<TAB>score lines found"),
-    ("gold.tsv", lambda text: text.replace("\t1\t", "\t-\t").replace("\t0\t", "\t-\t"),
+    ("scores.tsv", lambda text: "# a\n\n  \n\t\n# b\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: no word_id<TAB>score lines found"),
+    ("gold.tsv", without_binary_labels,
      ["evaluate", "{labels}", "{d}/gold.tsv", "--task", "binary"], 1,
-     "gold data contains no binary labels"),
-    ("gold.tsv", lambda text: "".join(line.rsplit("\t", 1)[0] + "\t-\n"
-                                      for line in text.splitlines()),
-     EVALUATE_GRADED, 1, "gold data contains no graded scores"),
+     "{file}: gold data contains no binary labels"),
+    ("gold.tsv", without_graded_scores, EVALUATE_GRADED, 1,
+     "{file}: gold data contains no graded scores"),
+    ("gold.tsv", without_binary_labels, ANALYZE + ["--report", "logreg"], 1,
+     "{file}: gold data contains no binary labels"),
+    ("gold.tsv", without_graded_scores, ANALYZE + ["--report", "correlation"], 1,
+     "{file}: gold data contains no graded scores"),
 ], ids=["empty-lemma", "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
         "empty-word-id", "targets-without-records", "gold-without-records",
-        "scores-without-records", "gold-without-binary-labels",
-        "gold-without-graded-scores"])
+        "scores-without-records", "scores-with-whitespace-only-lines",
+        "gold-without-binary-labels", "gold-without-graded-scores",
+        "analyze-gold-without-binary-labels", "analyze-gold-without-graded-scores"])
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
                                                   argv, code, message):
     d = demo_copy(tmp_path)
@@ -1086,6 +1101,19 @@ def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, e
     assert run([a.format(**dict(demo, d=d)) for a in argv]) == code
     assert ("error: " + message.format(file=d / name, last=text.count("\n"))
             in capsys.readouterr().err)
+
+
+def test_whitespace_only_line_in_targets_is_blank(tmp_path):
+    stores = []
+    for name, blank in (("plain", ""), ("spaces", "  \t \n")):
+        d = demo_copy(tmp_path / name)
+        lines = (d / "targets.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert not lines[2].startswith("#")
+        (d / "targets.tsv").write_text("".join(lines[:2]) + blank + "".join(lines[2:]),
+                                       encoding="utf-8")
+        assert run([a.format(d=d) for a in EXTRACT]) == 0
+        stores.append((d / "out").read_bytes())
+    assert stores[1] == stores[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,13 +70,14 @@ def test_empty_feats_token():
 
 def test_parse_feats_pairs():
     assert parse_feats("Mood=Ind|Tense=Past|VerbForm=Fin") == (
-        "Mood=Ind", "Tense=Past", "VerbForm=Fin")
-    assert parse_feats("Foo=a=b|Polite=") == ("Foo=a=b", "Polite=")
+        ("Mood", "Ind"), ("Tense", "Past"), ("VerbForm", "Fin"))
+    assert parse_feats("Foo=a=b|Polite=") == (("Foo", "a=b"), ("Polite", ""))
 
 
 def test_parse_feats_skips_malformed_entry(caplog):
     with caplog.at_level("WARNING", logger="gramprof.conllu"):
-        assert parse_feats("Number=Sing|Oops|=x||Case=Dat") == ("Number=Sing", "Case=Dat")
+        assert parse_feats("Number=Sing|Oops|=x||Case=Dat") == (
+            ("Number", "Sing"), ("Case", "Dat"))
     assert [r.getMessage() for r in caplog.records] == [
         f"skipping malformed FEATS entry {item!r} in 'Number=Sing|Oops|=x||Case=Dat'"
         for item in ("Oops", "=x", "")]

@@ -572,6 +572,19 @@ def join_two_records_with_a_comma(lines):
     return join_two_records(lines, separator=", ")
 
 
+def join_two_records_and_split_one(lines, at=BATCH + 20):
+    # in one batch: the joined line holds one record more, and a record is
+    # split over two lines at a comma that becomes the line break; joined
+    # with commas, the batch holds every record whole, one per line
+    lines, line_number = join_two_records_with_a_comma(lines)
+    line = lines[at]
+    cut = line.index(', "period"')
+    lines = lines[:at] + [line[:cut] + "\n", line[cut + 1:]] + lines[at + 1:]
+    second_batch = lines[BATCH + 1:2 * BATCH + 1]
+    assert len(json.loads("[" + ",".join(second_batch) + "]")) == len(second_batch)
+    return lines, line_number
+
+
 def pretty_print_records(lines):
     records = "".join(json.dumps(json.loads(line), indent=2, sort_keys=True) + "\n"
                       for line in lines[1:])
@@ -580,9 +593,10 @@ def pretty_print_records(lines):
 
 @pytest.mark.parametrize("corrupt", [truncate_last_line, split_one_record,
                                      join_two_records, join_two_records_with_a_comma,
-                                     pretty_print_records],
+                                     join_two_records_and_split_one, pretty_print_records],
                          ids=["truncated-last-line", "record-split-over-two-lines",
                               "two-records-on-one-line", "two-records-and-a-comma",
+                              "two-records-and-a-comma-and-a-split-record",
                               "pretty-printed"])
 def test_corrupt_store_layouts_exit_1_naming_the_line(tmp_path, capsys, corrupt):
     lines, line_number = corrupt(store_lines(random_store(random.Random(8), BATCH,
@@ -593,7 +607,9 @@ def test_corrupt_store_layouts_exit_1_naming_the_line(tmp_path, capsys, corrupt)
     assert main(["score", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert bad_record_message(line_number, lines[line_number - 1]) in captured.err
+    assert (f"error: {path}: " + bad_record_message(line_number, lines[line_number - 1])
+            in captured.err)
+    assert captured.err.count(str(path)) == 1
 
 
 @pytest.mark.parametrize("value, message", [
