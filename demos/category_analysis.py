@@ -94,11 +94,11 @@ print(f"  train accuracy {result.train_accuracy:.3f}, "
 print()
 
 print("--- per-category correlation with the gold change scores ---")
-for r in category_correlations(matrix, gold_graded):
+for column, r in category_correlations(matrix, gold_graded).items():
     mark = "SIGNIFICANT" if r.significant else "-"
     rho = "n/a " if r.rho is None else f"{r.rho:+.3f}"
     p = "n/a   " if r.p_value is None else f"{r.p_value:.4f}"
-    print(f"  {r.column:<10} rho {rho}  p {p}  {mark}")
+    print(f"  {column:<10} rho {rho}  p {p}  {mark}")
 print()
 
 word = sorted(changed)[0]

@@ -56,10 +56,10 @@ banner("3. Score change: cosine distance between the period profiles")
 config = MethodConfig(feature_kind="combination", separation=True,
                       filter_threshold=0.05)
 scores = score_period_pair(profiles, ("old", "new"), config)
-ranking = rank_words({s.word_id: s.aggregate for s in scores})
+ranking = rank_words({word: s.aggregate for word, s in scores.items()})
 print(f"method: {config}")
 for word, value in ranking:
-    detail = scores[[s.word_id for s in scores].index(word)]
+    detail = scores[word]
     cats = ", ".join(f"{c}={d:.3f}" for c, d in sorted(detail.per_category.items()))
     print(f"  {value:.4f}  {word:<10} (synt={detail.d_synt:.3f}; {cats})")
 

@@ -58,11 +58,11 @@ ITALIAN_CONFIG = MethodConfig(feature_kind="average", separation=False,
 def run_language(dataset_dir, config):
     spec = load_dataset_spec(dataset_dir / "dataset.yml")
     targets = load_targets(spec.targets_path)
-    profiles = extract_profiles(dict(spec.periods), targets)
-    a, b = spec.period_labels  # every shared-task dataset has two periods
+    profiles = extract_profiles(spec.periods, targets)
+    a, b = spec.periods  # every shared-task dataset has two periods
     scores = score_period_pair(profiles, (a, b), config)
     gold = load_gold(spec.gold_path)
-    return {s.word_id: s.aggregate for s in scores}, gold
+    return {word: s.aggregate for word, s in scores.items()}, gold
 
 
 def main(argv=None):

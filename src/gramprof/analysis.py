@@ -103,8 +103,7 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
     scores = score_period_pair(profiles, pair, replace(
         config, feature_kind="combination", separation=True))
     per_word: dict[str, dict[str, float]] = {}
-    for score in scores:
-        word_id = score.word_id
+    for word_id, score in scores.items():
         cells = per_word[word_id] = dict(score.per_category)
         if profiles[(word_id, period_a)].synt or profiles[(word_id, period_b)].synt:
             cells[SYNTAX_COLUMN] = score.d_synt
@@ -191,7 +190,7 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     if not l2_inverse_strength > 0:  # also rejects NaN
         raise ConfigError(f"the inverse regularization strength must be positive, "
                           f"got {l2_inverse_strength}")
-    check_same_words(matrix.word_ids, labels, "feature matrix and label")
+    check_same_words(matrix.word_ids, labels, "feature matrix", "labels")
     y = np.array([labels[w] for w in matrix.word_ids], dtype=np.float64)
     if len(np.unique(y)) < 2:
         raise DataError("labels contain a single class; nothing to separate")
@@ -237,7 +236,6 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
 
 @dataclass
 class CategoryCorrelation:
-    column: str
     rho: Optional[float]
     p_value: Optional[float]
     significant: bool
@@ -289,19 +287,20 @@ def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
 
 def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float],
                           missing_as_absent: bool = False,
-                          exact_p: bool = False) -> list[CategoryCorrelation]:
+                          exact_p: bool = False) -> dict[str, CategoryCorrelation]:
     """Spearman correlation of each category's distances with the gold
-    graded change scores, with significance at p < 0.05.
+    graded change scores, with significance at p < 0.05: column ->
+    CategoryCorrelation, in column order.
 
     With ``missing_as_absent`` a word that never expresses a category is
     dropped from that category's test instead of contributing a 0 cell.
     """
     import numpy as np
-    check_same_words(matrix.word_ids, gold_graded, "feature matrix and gold")
+    check_same_words(matrix.word_ids, gold_graded, "feature matrix", "gold")
     if len(matrix.word_ids) < 5:
         raise DataError("category correlations need at least 5 words")
     gold = np.array([gold_graded[w] for w in matrix.word_ids], dtype=np.float64)
-    results = []
+    results = {}
     for j, column in enumerate(matrix.columns):
         cells = matrix.values[:, j]
         gold_cells = gold
@@ -312,19 +311,19 @@ def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float
         cells, gold_cells = cells.tolist(), gold_cells.tolist()
         n = len(cells)
         if n < 5:
-            results.append(CategoryCorrelation(column, None, None, False, n,
-                                               note="insufficient data"))
+            results[column] = CategoryCorrelation(None, None, False, n,
+                                                  note="insufficient data")
             continue
         rho = rank_correlation(cells, gold_cells)
         if rho is None:
-            results.append(CategoryCorrelation(column, None, None, False, n,
-                                               note="constant values"))
+            results[column] = CategoryCorrelation(None, None, False, n,
+                                                  note="constant values")
             continue
         if exact_p:
             p = exact_spearman_p_value(cells, gold_cells)
         else:
             p = spearman_p_value(rho, n)
-        results.append(CategoryCorrelation(column, rho, p, p < 0.05, n))
+        results[column] = CategoryCorrelation(rho, p, p < 0.05, n)
     return results
 
 

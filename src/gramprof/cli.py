@@ -45,13 +45,9 @@ class DatasetSpec:
     scoring (``_resolve_pair``), not here."""
 
     name: str
-    periods: list[tuple[str, list[str]]]
+    periods: dict[str, list[str]]  # label -> corpus paths, in config order
     targets_path: str
     gold_path: Optional[str] = None
-
-    @property
-    def period_labels(self) -> list[str]:
-        return [label for label, _ in self.periods]
 
 
 def load_dataset_spec(path) -> DatasetSpec:
@@ -78,13 +74,16 @@ def load_dataset_spec(path) -> DatasetSpec:
         return str((base / str(p)))
 
     try:
-        periods = []
+        periods: dict[str, list[str]] = {}
         for entry in raw["periods"]:
             paths = entry["paths"]
             if not isinstance(paths, list) or not paths:
                 raise ConfigError(f"config {path}: period {entry.get('label')!r} "
                                   f"needs a non-empty 'paths' list")
-            periods.append((str(entry["label"]), [resolve(p) for p in paths]))
+            label = str(entry["label"])
+            if label in periods:
+                raise ConfigError(f"config {path}: duplicate period labels")
+            periods[label] = [resolve(p) for p in paths]
         spec = DatasetSpec(
             name=str(raw.get("name", path.stem)),
             periods=periods,
@@ -98,10 +97,8 @@ def load_dataset_spec(path) -> DatasetSpec:
                           f"with 'label' and 'paths' ({exc})")
     if len(spec.periods) < 2:
         raise ConfigError(f"config {path}: dataset needs at least 2 periods")
-    if len(set(spec.period_labels)) != len(spec.periods):
-        raise ConfigError(f"config {path}: duplicate period labels")
     seen: dict[Path, str] = {}
-    for label, paths in spec.periods:
+    for label, paths in spec.periods.items():
         for p in paths:
             if not Path(p).exists():
                 raise ConfigError(f"config {path}: corpus file not found: {p}")
@@ -232,16 +229,15 @@ def _format_cell(value) -> str:
 def cmd_extract(args) -> int:
     spec = load_dataset_spec(args.config)
     targets = load_targets(spec.targets_path)
-    corpora = {label: paths for label, paths in spec.periods}
     profiles = extract_profiles(
-        corpora, targets,
+        spec.periods, targets,
         case_fold=args.case_fold,
         match_form=args.match_form,
         strip_subtypes=args.strip_deprel_subtype,
         strict=args.strict,
     )
     store = ProfileStore(
-        periods=spec.period_labels,
+        periods=list(spec.periods),
         profiles=profiles,
         options={
             "dataset": spec.name,
@@ -270,15 +266,14 @@ def cmd_score(args) -> int:
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     scores = score_period_pair(store.profiles, pair, config)
-    by_word = {s.word_id: s for s in scores}
-    ranking = rank_words({s.word_id: round(s.aggregate, 6) for s in scores})
+    ranking = rank_words({word_id: round(s.aggregate, 6) for word_id, s in scores.items()})
     with _output(args.output) as stream:
         if args.explain:
-            categories = sorted({c for s in scores for c in s.per_category})
+            categories = sorted({c for s in scores.values() for c in s.per_category})
             header = ["word_id", "score", "d_morph", "d_synt"] + categories
             stream.write("\t".join(header) + "\n")
             for word_id, aggregate in ranking:
-                s = by_word[word_id]
+                s = scores[word_id]
                 row = [word_id, f"{aggregate:.6f}",
                        "-" if s.d_morph is None else f"{s.d_morph:.6f}",
                        "-" if s.d_synt is None else f"{s.d_synt:.6f}"]
@@ -382,12 +377,12 @@ def cmd_analyze(args) -> int:
             exact_p=args.exact_p,
         )
         rows = []
-        for r in results:
+        for column, r in results.items():
             # text report mimics the usual presentation: '-' when not
             # significant; machine formats keep the value
             display_rho = r.rho if (args.format != "text" or r.significant) else None
             rows.append({
-                "category": r.column,
+                "category": column,
                 "rho": display_rho,
                 "p_value": r.p_value,
                 "significant": r.significant,
@@ -401,9 +396,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_timeline(args) -> int:
     store = _load_store(args.store)
-    if args.word not in set(store.word_ids):
-        raise DataError(f"word {args.word!r} not in store; available: "
-                        f"{', '.join(store.word_ids)}")
+    word_ids = store.word_ids
+    if args.word not in set(word_ids):
+        raise DataError(f"word {args.word!r} not in store; its {len(word_ids)} words "
+                        f"begin {', '.join(map(repr, word_ids[:5])) or '-'}")
     profiles_by_period = {period: store.profiles[(args.word, period)]
                           for period in store.periods}
     rows = timeline(profiles_by_period, args.category)

@@ -160,7 +160,7 @@ class TargetIndex:
             seen_rules.add(rule)
             self._by_lemma.setdefault(key, []).append(spec)
         for candidates in self._by_lemma.values():
-            candidates.sort(key=lambda s: (s.upos_filter is None, s.word_id))
+            candidates.sort(key=lambda spec: (spec.upos_filter is None, spec.word_id))
 
     def match(self, sentence: Iterable[list[str]]) -> Iterator[tuple[str, list[str]]]:
         lookup = self._by_lemma.get

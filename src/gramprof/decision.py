@@ -69,7 +69,7 @@ def average_binary(labels_morph: Mapping[str, int],
     """Combine two binary labelings as their average rounded half up:
     a word is changed (1) when either labeling says so. A label other
     than 0 or 1 raises DataError."""
-    check_same_words(labels_morph, labels_synt, "label")
+    check_same_words(labels_morph, labels_synt, "the first labeling", "the second")
     for labels in (labels_morph, labels_synt):
         for word_id, label in labels.items():
             if label not in (0, 1):

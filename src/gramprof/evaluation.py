@@ -33,10 +33,17 @@ class GoldRecord:
             raise DataError("binary label must be 0 or 1")
 
 
-def check_same_words(a: Iterable[str], b: Iterable[str], what: str) -> None:
-    """DataError naming the words in only one of ``a`` and ``b``, if any."""
-    if set(a) != set(b):
-        raise DataError(f"{what} word sets differ: {sorted(set(a) ^ set(b))}")
+def check_same_words(a: Iterable[str], b: Iterable[str], side_a: str, side_b: str) -> None:
+    """DataError if ``a`` and ``b`` hold different words. For each side it
+    says how many words only that side holds and names the first five in
+    sorted order, so the message stays one short line."""
+    a, b = set(a), set(b)
+    if a != b:
+        sides = "; ".join(
+            f"{len(only)} only in {side} ({', '.join(map(repr, sorted(only)[:5]))}"
+            f"{', ...' if len(only) > 5 else ''})"
+            for side, only in ((side_a, a - b), (side_b, b - a)) if only)
+        raise DataError(f"word sets differ: {sides}")
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -82,7 +89,7 @@ def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
     when either side has no rank variance, where the coefficient is
     undefined.
     """
-    check_same_words(pred, gold, "spearman: prediction and gold")
+    check_same_words(pred, gold, "prediction", "gold")
     if len(pred) < 2:
         raise DataError("spearman needs at least 2 words")
     word_ids = sorted(pred)
@@ -94,7 +101,7 @@ def spearman(pred: Mapping[str, float], gold: Mapping[str, float]) -> float:
 
 def accuracy(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
     """Fraction of words whose binary label matches the gold label."""
-    check_same_words(pred, gold, "accuracy: prediction and gold")
+    check_same_words(pred, gold, "prediction", "gold")
     if not pred:
         raise DataError("accuracy of an empty prediction set is undefined")
     matches = sum(1 for word_id in pred if pred[word_id] == gold[word_id])
@@ -106,20 +113,15 @@ def per_class_f1(pred: Mapping[str, int], gold: Mapping[str, int]
     """F1 for each of the classes 0 and 1.
 
     A class absent from both prediction and gold has no precision or
-    recall; its F1 is 0 by convention (logged, and flagged by report
-    writers).
+    recall; its F1 is 0 by convention, and ``macro_f1`` logs it.
     """
-    check_same_words(pred, gold, "F1: prediction and gold")
+    check_same_words(pred, gold, "prediction", "gold")
     f1 = {}
     for cls in (0, 1):
         tp = sum(1 for w in pred if pred[w] == cls and gold[w] == cls)
         fp = sum(1 for w in pred if pred[w] == cls and gold[w] != cls)
         fn = sum(1 for w in pred if pred[w] != cls and gold[w] == cls)
-        if tp == fp == fn == 0:
-            logger.warning("class %d absent from both prediction and gold; "
-                           "its F1 counts as 0", cls)
-            f1[cls] = 0.0
-        elif tp == 0:
+        if tp == 0:
             f1[cls] = 0.0
         else:
             f1[cls] = 2 * tp / (2 * tp + fp + fn)
@@ -127,8 +129,12 @@ def per_class_f1(pred: Mapping[str, int], gold: Mapping[str, int]
 
 
 def macro_f1(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
-    """Unweighted mean of the per-class F1 scores over classes {0, 1}."""
+    """Unweighted mean of the per-class F1 scores over classes {0, 1}.
+    A class absent from both sides has F1 0, which is logged."""
     f1 = per_class_f1(pred, gold)
+    for cls in sorted({0, 1} - set(pred.values()) - set(gold.values())):
+        logger.warning("class %d absent from both prediction and gold; "
+                       "its F1 counts as 0", cls)
     return (f1[0] + f1[1]) / 2.0
 
 

@@ -56,7 +56,6 @@ class MethodConfig:
 
 @dataclass
 class ChangeScore:
-    word_id: str
     aggregate: float
     d_morph: Optional[float] = None
     d_synt: Optional[float] = None
@@ -162,8 +161,8 @@ def score_separated(profile_a: Profile, profile_b: Profile, config: MethodConfig
     return per_category, math.fsum(distances) / len(distances)
 
 
-def score_word_pair(word_id: str, profile_a: Profile, profile_b: Profile,
-                    config: MethodConfig) -> ChangeScore:
+def score_word_pair(profile_a: Profile, profile_b: Profile, config: MethodConfig
+                    ) -> ChangeScore:
     """Compute one word's change score under the configured method."""
     d_morph: Optional[float] = None
     d_synt: Optional[float] = None
@@ -194,34 +193,27 @@ def score_word_pair(word_id: str, profile_a: Profile, profile_b: Profile,
         # weights syntax down as the morphological profile gets richer.
         aggregate = max([*per_category.values(), d_synt])
 
-    return ChangeScore(
-        word_id=word_id,
-        aggregate=aggregate,
-        d_morph=d_morph,
-        d_synt=d_synt,
-        per_category=per_category,
-    )
+    return ChangeScore(aggregate, d_morph, d_synt, per_category)
 
 
 def score_period_pair(profiles: Mapping[tuple[str, str], Profile],
                       pair: tuple[str, str], config: MethodConfig
-                      ) -> list[ChangeScore]:
-    """Score every word of a profile mapping for one period pair,
-    sorted by word_id.
+                      ) -> dict[str, ChangeScore]:
+    """Score every word of a profile mapping for one period pair:
+    word_id -> ChangeScore, in word_id order.
 
     A period in which no word occurs raises DataError: every word would
     get the zero-profile distance, a ranking that says nothing."""
     period_a, period_b = pair
-    word_ids = sorted({word_id for word_id, _ in profiles})
-    pairs = []
-    for word_id in word_ids:
+    pairs = {}
+    for word_id in sorted({word_id for word_id, _ in profiles}):
         try:
-            pairs.append((profiles[(word_id, period_a)], profiles[(word_id, period_b)]))
+            pairs[word_id] = profiles[(word_id, period_a)], profiles[(word_id, period_b)]
         except KeyError as exc:
             raise DataError(f"missing profile for word {word_id!r}: {exc}")
-    for period, period_profiles in zip(pair, zip(*pairs)):
+    for period, period_profiles in zip(pair, zip(*pairs.values())):
         if not any(profile.total for profile in period_profiles):
             raise DataError(f"period {period!r}: no target word occurs in it, so the "
                             f"pair {period_a!r}-{period_b!r} cannot be scored")
-    return [score_word_pair(word_id, profile_a, profile_b, config)
-            for word_id, (profile_a, profile_b) in zip(word_ids, pairs)]
+    return {word_id: score_word_pair(profile_a, profile_b, config)
+            for word_id, (profile_a, profile_b) in pairs.items()}

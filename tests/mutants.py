@@ -33,7 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
-COPIED = ("src", "tests", "bench", "demos", "pyproject.toml", "BENCHMARK.json")
+COPIED = ("src", "tests", "bench", "demos", "pyproject.toml", "BENCHMARK.json", "README.md")
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".work", "*.egg-info")
 TIMEOUT = 900
 

@@ -255,10 +255,11 @@ def test_correlation_identical_column_is_significant():
     matrix = matrix_from(values, columns=["tracks_gold", "flat"],
                          word_ids=list(gold))
     results = category_correlations(matrix, gold)
-    tracked = next(r for r in results if r.column == "tracks_gold")
+    assert list(results) == ["tracks_gold", "flat"]
+    tracked = results["tracks_gold"]
     assert tracked.rho == pytest.approx(1.0)
     assert tracked.significant
-    flat = next(r for r in results if r.column == "flat")
+    flat = results["flat"]
     assert flat.rho is None and not flat.significant and flat.note
 
 
@@ -270,7 +271,7 @@ def test_correlation_false_positive_rate():
     for _ in range(trials):
         matrix = matrix_from(rng.random((12, 1)), columns=["noise"],
                              word_ids=list(gold))
-        [result] = category_correlations(matrix, gold)
+        result = category_correlations(matrix, gold)["noise"]
         significant += int(result.significant)
     rate = significant / trials
     assert 0.01 < rate < 0.10  # nominal 5% under the null
@@ -292,9 +293,9 @@ def test_correlation_missing_as_absent():
     missing[4:, 0] = True
     matrix = matrix_from(values, columns=["partial"], word_ids=list(gold),
                          missing=missing)
-    [kept] = category_correlations(matrix, gold, missing_as_absent=False)
+    kept = category_correlations(matrix, gold, missing_as_absent=False)["partial"]
     assert kept.n == 8
-    [dropped] = category_correlations(matrix, gold, missing_as_absent=True)
+    dropped = category_correlations(matrix, gold, missing_as_absent=True)["partial"]
     assert dropped.n == 4
     assert dropped.note == "insufficient data"
 
@@ -307,8 +308,9 @@ def test_correlation_invariant_under_monotone_gold_transform():
     matrix = matrix_from(rng.random((10, 2)), word_ids=list(gold))
     original = category_correlations(matrix, gold)
     transformed = category_correlations(matrix, stretched)
-    for before, after in zip(original, transformed):
-        assert before.rho == pytest.approx(after.rho, abs=1e-12)
+    assert original.keys() == transformed.keys()
+    for column, before in original.items():
+        assert before.rho == pytest.approx(transformed[column].rho, abs=1e-12)
 
 
 def test_exact_p_value():

@@ -286,6 +286,52 @@ def test_evaluate_word_mismatch_is_data_error(dataset, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+MANY_WORDS = [f"w{i:04d}" for i in range(3000)]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["evaluate", "{scores}", "{gold}", "--task", "graded"],
+     "3000 only in prediction ('w0000', 'w0001', 'w0002', 'w0003', 'w0004', ...); "
+     "7 only in gold ('lass', 'prop', 'record_vb', 'sing', 'stab_nn', ...)"),
+    (["evaluate", "{labels}", "{gold}", "--task", "binary"],
+     "3000 only in prediction ('w0000', 'w0001', 'w0002', 'w0003', 'w0004', ...); "
+     "7 only in gold ('lass', 'prop', 'record_vb', 'sing', 'stab_nn', ...)"),
+    (["combine-labels", "{labels}", "{few_labels}"],
+     "2990 only in the first labeling ('w0010', 'w0011', 'w0012', 'w0013', 'w0014', ...); "
+     "1 only in the second ('lass')"),
+], ids=["evaluate-graded", "evaluate-binary", "combine-labels"])
+def test_word_set_mismatch_counts_each_side_on_one_short_line(tmp_path, capsys, argv, err):
+    paths = {"scores": tmp_path / "scores.tsv", "labels": tmp_path / "labels.tsv",
+             "few_labels": tmp_path / "few.tsv", "gold": DEMO / "gold.tsv"}
+    paths["scores"].write_text("".join(f"{w}\t{i / 3000}\n" for i, w in enumerate(MANY_WORDS)),
+                               encoding="utf-8")
+    paths["labels"].write_text("".join(f"{w}\t{i % 2}\n" for i, w in enumerate(MANY_WORDS)),
+                               encoding="utf-8")
+    paths["few_labels"].write_text("".join(f"{w}\t1\n" for w in MANY_WORDS[:10] + ["lass"]),
+                                   encoding="utf-8")
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: word sets differ: {err}\n"
+
+
+def test_timeline_of_an_unknown_word_counts_the_store_words(tmp_path, capsys):
+    store = synth.random_store(random.Random(5), 3000, ["old", "new"])
+    with open(tmp_path / "store.jsonl", "w", encoding="utf-8") as f:
+        store.save(f)
+    assert run(["timeline", tmp_path / "store.jsonl", "lass", "Number"]) == 1
+    assert capsys.readouterr().err == ("error: word 'lass' not in store; its 3000 words begin "
+                                       "'w0000', 'w0001', 'w0002', 'w0003', 'w0004'\n")
+
+
+def test_evaluate_binary_warns_once_about_a_class_absent_from_both(tmp_path, caplog):
+    (tmp_path / "pred.tsv").write_text("a\t1\nb\t1\n", encoding="utf-8")
+    (tmp_path / "gold.tsv").write_text("a\t1\t-\nb\t1\t-\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert run(["evaluate", tmp_path / "pred.tsv", tmp_path / "gold.tsv",
+                    "--task", "binary"]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == \
+        ["class 0 absent from both prediction and gold; its F1 counts as 0"]
+
+
 def test_analyze_logreg(dataset, capsys):
     store = extract(dataset)
     capsys.readouterr()
@@ -716,7 +762,7 @@ def test_cli_changepoint_labels_equal_library_on_full_precision(tmp_path, capsys
                                                                 flags, config):
     store = random_store(tmp_path / "store.jsonl", random.Random(41), 300)
     scores = score_period_pair(store.profiles, ("old", "new"), config)
-    expected = classify_changepoint(rank_words({s.word_id: s.aggregate for s in scores}))
+    expected = classify_changepoint(rank_words({w: s.aggregate for w, s in scores.items()}))
     assert run(["score", tmp_path / "store.jsonl", *flags,
                 "-o", tmp_path / "scores.tsv"]) == 0
     capsys.readouterr()
@@ -898,14 +944,14 @@ def test_analyze_subset_suffix_equals_library_on_the_subset(tmp_path, capsys):
     keep = [w for w in store.word_ids if w.endswith("_nn")]
     matrix = build_feature_matrix(store.profiles, ("old", "new"), MethodConfig())
     expected = category_correlations(matrix.subset(keep), {w: graded[w] for w in keep})
-    assert any(r.rho is not None for r in expected)
+    assert any(r.rho is not None for r in expected.values())
     capsys.readouterr()
     assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
                 "--report", "correlation", "--subset-suffix", "_nn",
                 "--format", "json-lines"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["category"], r["rho"], r["p_value"], r["n"]) for r in rows] == \
-        [(r.column, r.rho, r.p_value, r.n) for r in expected]
+        [(column, r.rho, r.p_value, r.n) for column, r in expected.items()]
     assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
                 "--report", "correlation", "--subset-suffix", "_xx"]) == 1
     assert "no words match suffix '_xx'" in capsys.readouterr().err
@@ -976,8 +1022,8 @@ def test_score_filter_flags_equal_library(tmp_path, capsys, flags, config):
 
     def ranking(config):
         scores = score_period_pair(store.profiles, ("old", "new"), config)
-        return "".join(f"{w}\t{v:.6f}\n"
-                       for w, v in rank_words({s.word_id: s.aggregate for s in scores}))
+        aggregates = {word_id: s.aggregate for word_id, s in scores.items()}
+        return "".join(f"{w}\t{v:.6f}\n" for w, v in rank_words(aggregates))
 
     assert ranking(config) != ranking(MethodConfig())
     capsys.readouterr()

@@ -5,10 +5,12 @@ that breaks them fails here. ``semeval_reproduction.py`` needs external
 corpora for its published numbers; here it runs its binary task on the
 bundled data laid out as an ``italian`` dataset, and its ranking task on
 the same data laid out as an ``english`` one, where the bundled data's
-Spearman does not match the reference value.
+Spearman does not match the reference value. README's "Library use"
+code runs here too, so the documented API cannot drift from the code.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -50,3 +52,16 @@ def test_semeval_reproduction_ranks_and_checks_a_language(tmp_path):
         "english    spearman +0.893  expected +0.320 ±0.03  MISMATCH",
         "mean       spearman +0.893",
     ]
+
+
+def test_readme_library_use_runs_and_ranks_lass_first(monkeypatch, capsys):
+    readme = DEMOS.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section.split("\n## ")[0],
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(DEMOS / "data")
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert capsys.readouterr().out.split()[0] == "lass"

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -136,12 +137,16 @@ def test_macro_f1_complement_is_zero():
     assert macro_f1(pred, gold) == 0.0
 
 
-def test_macro_f1_class_absent_from_both():
+def test_macro_f1_class_absent_from_both(caplog):
     pred, gold = as_maps([1, 1], [1, 1])
-    f1 = per_class_f1(pred, gold)
+    with caplog.at_level(logging.WARNING):
+        f1 = per_class_f1(pred, gold)
+        assert not caplog.records  # macro_f1 alone logs the absent class
+        assert macro_f1(pred, gold) == 0.5
     assert f1[1] == 1.0
     assert f1[0] == 0.0
-    assert macro_f1(pred, gold) == 0.5
+    assert [r.getMessage() for r in caplog.records] == \
+        ["class 0 absent from both prediction and gold; its F1 counts as 0"]
 
 
 def test_gold_record_validation():

@@ -119,9 +119,9 @@ def bits(scores) -> list[tuple]:
     """Every distance of every score, as the exact bits of the float."""
     def hex_or_none(value):
         return None if value is None else value.hex()
-    return [(s.word_id, hex_or_none(s.aggregate), hex_or_none(s.d_morph),
+    return [(word_id, hex_or_none(s.aggregate), hex_or_none(s.d_morph),
              hex_or_none(s.d_synt), {k: v.hex() for k, v in s.per_category.items()})
-            for s in scores]
+            for word_id, s in scores.items()]
 
 
 @pytest.fixture(scope="module")

@@ -380,16 +380,16 @@ def test_combine_average():
     # the mean of the two distances ...
     profile_a, profile_b = word_profiles()
     average = default_config(feature_kind="average")
-    score = score_word_pair("w", profile_a, profile_b, average)
+    score = score_word_pair(profile_a, profile_b, average)
     assert abs(score.d_morph - FLIPPED_NUMBER_DISTANCE) < 1e-12
     assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
     assert score.aggregate == (score.d_morph + score.d_synt) / 2.0
-    same = score_word_pair("w", profile_a, profile_a, average)
+    same = score_word_pair(profile_a, profile_a, average)
     assert (same.d_morph, same.d_synt, same.aggregate) == (0.0, 0.0, 0.0)
     # ... or the syntactic one when no morphological category exists
     profile_a = Profile({}, {"nsubj": 60, "obj": 40}, 100)
     profile_b = Profile({}, {"nsubj": 100}, 100)
-    score = score_word_pair("w", profile_a, profile_b,
+    score = score_word_pair(profile_a, profile_b,
                             default_config(feature_kind="average", separation=True))
     assert score.d_morph is None and score.per_category == {}
     assert score.aggregate == score.d_synt
@@ -401,15 +401,15 @@ def test_combine_append_max():
     # syntax wins: Number flips, and the one dependency relation changes
     profile_a, profile_b = flipped_number_profiles()
     new_role = Profile(dict(profile_b.morph), {"obj": 100}, 100)
-    score = score_word_pair("w", profile_a, new_role, config)
+    score = score_word_pair(profile_a, new_role, config)
     assert score.d_synt == 1.0 and score.aggregate == 1.0
     # a category wins over a stable syntax
-    score = score_word_pair("w", profile_a, profile_b, config)
+    score = score_word_pair(profile_a, profile_b, config)
     assert score.d_synt == 0.0
     assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
     # no category: the syntactic distance alone
     no_morph = Profile({}, {"nsubj": 60, "obj": 40}, 100)
-    score = score_word_pair("w", no_morph, Profile({}, {"nsubj": 100}, 100), config)
+    score = score_word_pair(no_morph, Profile({}, {"nsubj": 100}, 100), config)
     assert score.per_category == {}
     assert score.aggregate == score.d_synt
     assert abs(score.d_synt - cosine_distance_oracle([60, 40], [100, 0])) < 1e-12
@@ -427,8 +427,8 @@ def test_combination_dominates_morphology_max():
             for _ in range(rng.randrange(1, 40)):
                 profile.add_token(rng.choice(feats), rng.choice(["nsubj", "obj", "root"]))
             profiles.append(profile)
-        score = score_word_pair("w", *profiles, combination)
-        morphology = score_word_pair("w", *profiles, separated_max)
+        score = score_word_pair(*profiles, combination)
+        morphology = score_word_pair(*profiles, separated_max)
         assert score.per_category == morphology.per_category
         assert score.aggregate == max([*score.per_category.values(), score.d_synt])
         if score.per_category:
@@ -463,14 +463,14 @@ def word_profiles():
 
 def test_score_word_pair_morphology():
     profile_a, profile_b = word_profiles()
-    score = score_word_pair("w", profile_a, profile_b, default_config())
+    score = score_word_pair(profile_a, profile_b, default_config())
     assert score.d_synt is None
     assert abs(score.aggregate - FLIPPED_NUMBER_DISTANCE) < 1e-12
 
 
 def test_score_word_pair_syntax():
     profile_a, profile_b = word_profiles()
-    score = score_word_pair("w", profile_a, profile_b,
+    score = score_word_pair(profile_a, profile_b,
                             default_config(feature_kind="syntax"))
     assert score.d_morph is None
     expected = cosine_distance_oracle([60, 40], [100, 0])
@@ -479,10 +479,10 @@ def test_score_word_pair_syntax():
 
 def test_score_word_pair_average():
     profile_a, profile_b = word_profiles()
-    morph = score_word_pair("w", profile_a, profile_b, default_config()).aggregate
-    synt = score_word_pair("w", profile_a, profile_b,
+    morph = score_word_pair(profile_a, profile_b, default_config()).aggregate
+    synt = score_word_pair(profile_a, profile_b,
                            default_config(feature_kind="syntax")).aggregate
-    average = score_word_pair("w", profile_a, profile_b,
+    average = score_word_pair(profile_a, profile_b,
                               default_config(feature_kind="average"))
     assert abs(average.aggregate - (morph + synt) / 2) < 1e-12
 
@@ -490,7 +490,7 @@ def test_score_word_pair_average():
 def test_score_word_pair_combination():
     profile_a, profile_b = word_profiles()
     config = default_config(feature_kind="combination", separation=True)
-    score = score_word_pair("w", profile_a, profile_b, config)
+    score = score_word_pair(profile_a, profile_b, config)
     assert score.per_category["Number"] == pytest.approx(FLIPPED_NUMBER_DISTANCE)
     assert score.aggregate == max(list(score.per_category.values()) + [score.d_synt])
 
@@ -501,7 +501,7 @@ def test_score_word_pair_separated_morphology_fallback():
     profile_a = Profile({}, {"root": 3}, 3)
     profile_b = Profile({}, {"root": 3}, 3)
     config = default_config(separation=True)
-    score = score_word_pair("w", profile_a, profile_b, config)
+    score = score_word_pair(profile_a, profile_b, config)
     assert score.aggregate == config.zero_profile_distance
 
 
@@ -512,8 +512,8 @@ def test_score_word_pair_symmetry():
                    default_config(feature_kind="average"),
                    default_config(separation=True),
                    default_config(feature_kind="combination", separation=True)):
-        forward = score_word_pair("w", profile_a, profile_b, config).aggregate
-        backward = score_word_pair("w", profile_b, profile_a, config).aggregate
+        forward = score_word_pair(profile_a, profile_b, config).aggregate
+        backward = score_word_pair(profile_b, profile_a, config).aggregate
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
@@ -523,7 +523,10 @@ def test_score_period_pair_sorted_and_complete():
         profiles[(word, "old")] = Profile({"Number=Sing": 2}, {"nsubj": 2}, 2)
         profiles[(word, "new")] = Profile({"Number=Plur": 2}, {"obj": 2}, 2)
     scores = score_period_pair(profiles, ("old", "new"), default_config())
-    assert [s.word_id for s in scores] == ["a", "b", "c"]
+    assert list(scores) == ["a", "b", "c"]
+    assert all(score == score_word_pair(profiles[(word, "old")], profiles[(word, "new")],
+                                        default_config())
+               for word, score in scores.items())
 
 
 def test_score_period_pair_missing_profile():
