@@ -54,26 +54,12 @@ class FeatureMatrix:
     values: np.ndarray
     missing: np.ndarray
 
-    def __post_init__(self):
-        import numpy as np
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.missing = np.asarray(self.missing, dtype=bool)
-        if self.values.shape != (len(self.word_ids), len(self.columns)):
-            raise ValueError("feature matrix shape does not match labels")
-        if self.missing.shape != self.values.shape:
-            raise ValueError("missing mask shape does not match values")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
-
     def subset(self, word_ids: Sequence[str]) -> "FeatureMatrix":
         """Row subset in the given order, dropping columns that become
-        all-missing or all-zero."""
+        all-missing or all-zero. Every word must be one of the matrix's."""
         import numpy as np
         index = {w: i for i, w in enumerate(self.word_ids)}
-        try:
-            rows = [index[w] for w in word_ids]
-        except KeyError as exc:
-            raise DataError(f"word not in feature matrix: {exc}")
+        rows = [index[w] for w in word_ids]
         values = self.values[rows, :]
         missing = self.missing[rows, :]
         keep = [j for j in range(len(self.columns))
@@ -104,6 +90,9 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
         config, feature_kind="combination", separation=True))
     per_word: dict[str, dict[str, float]] = {}
     for word_id, score in scores.items():
+        if SYNTAX_COLUMN in score.per_category:
+            raise DataError(f"word {word_id!r} has a FEATS category named "
+                            f"{SYNTAX_COLUMN!r}, which collides with the syntax column")
         cells = per_word[word_id] = dict(score.per_category)
         if profiles[(word_id, period_a)].synt or profiles[(word_id, period_b)].synt:
             cells[SYNTAX_COLUMN] = score.d_synt
@@ -187,9 +176,6 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     LOGREG_TOLERANCE or after LOGREG_MAX_ITERATIONS steps.
     """
     import numpy as np
-    if not l2_inverse_strength > 0:  # also rejects NaN
-        raise ConfigError(f"the inverse regularization strength must be positive, "
-                          f"got {l2_inverse_strength}")
     check_same_words(matrix.word_ids, labels, "feature matrix", "labels")
     y = np.array([labels[w] for w in matrix.word_ids], dtype=np.float64)
     if len(np.unique(y)) < 2:
@@ -244,14 +230,12 @@ class CategoryCorrelation:
 
 
 def spearman_p_value(rho: float, n: int) -> float:
-    """Two-tailed p-value of a Spearman coefficient via the t
-    approximation with n-2 degrees of freedom.
+    """Two-tailed p-value of a Spearman coefficient over n >= 3
+    observations, via the t approximation with n-2 degrees of freedom.
 
     ``stdtr(df, -|t|)`` is the Student-t survival function at ``|t|``,
     the value ``scipy.stats.t.sf`` returns, without the cost of
     importing ``scipy.stats``."""
-    if n < 3:
-        raise DataError("p-value needs at least 3 observations")
     if 1.0 - rho * rho <= 0.0:
         return 0.0
     from scipy.special import stdtr
@@ -261,7 +245,8 @@ def spearman_p_value(rho: float, n: int) -> float:
 
 def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
     """Two-tailed permutation p-value: the share of permutations of y
-    whose |rho| reaches the observed |rho|. Only feasible for n <= 10.
+    whose |rho| reaches the observed |rho|. Only feasible for n <= 10,
+    and neither x nor y may be constant.
 
     Permuting values permutes their ranks, and rank means and variances
     are permutation invariant, so only the rank dot product has to be
@@ -273,8 +258,6 @@ def exact_spearman_p_value(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConfigError("exact permutation p-values are limited to n <= 10")
     ranks_x = average_ranks(x)
     ranks_y = average_ranks(y)
-    if min(ranks_x) == max(ranks_x) or min(ranks_y) == max(ranks_y):
-        raise DataError("exact p-value undefined for constant input")
     centered_x = tuple(int(2 * r) - (n + 1) for r in ranks_x)
     centered_y = tuple(int(2 * r) - (n + 1) for r in ranks_y)
     observed = abs(sum(a * b for a, b in zip(centered_x, centered_y)))
@@ -345,8 +328,6 @@ def timeline(profiles_by_period: Mapping[str, Profile], category: str
     The special category name ``syntax`` tabulates dependency
     relations.
     """
-    if not profiles_by_period:
-        raise DataError("no profiles given")
     per_period_counts: dict[str, dict[str, int]] = {}
     available: set[str] = set()
     for period, profile in profiles_by_period.items():

@@ -580,7 +580,3 @@ def main(argv=None) -> int:
         # is a failed write: a full disk, a closed pipe, a bad -o path.
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,9 +28,8 @@ def rank_words(scores: Mapping[str, float]) -> Ranking:
 def classify_topn(ranking: Ranking, ratio: float) -> dict[str, int]:
     """Label the top round(ratio * N) words as changed (1), the rest
     stable (0). The count is exact, with the ratio read as its decimal
-    and a half rounded up: 0.29 of 50 words is 14.5, so 15."""
-    if not 0.0 <= ratio <= 1.0:
-        raise DataError(f"ratio must be in [0, 1], got {ratio}")
+    and a half rounded up: 0.29 of 50 words is 14.5, so 15. The ratio
+    is in [0, 1]: ``classify`` checks ``--ratio``."""
     num, den = _decimal_ratio(ratio)
     n = (2 * num * len(ranking) + den) // (2 * den)
     return {word_id: (1 if i < n else 0) for i, (word_id, _) in enumerate(ranking)}
@@ -67,12 +66,8 @@ def classify_changepoint(ranking: Ranking) -> dict[str, int]:
 def average_binary(labels_morph: Mapping[str, int],
                    labels_synt: Mapping[str, int]) -> dict[str, int]:
     """Combine two binary labelings as their average rounded half up:
-    a word is changed (1) when either labeling says so. A label other
-    than 0 or 1 raises DataError."""
+    a word is changed (1) when either labeling says so. Every label is
+    0 or 1: the label file reader checks it."""
     check_same_words(labels_morph, labels_synt, "the first labeling", "the second")
-    for labels in (labels_morph, labels_synt):
-        for word_id, label in labels.items():
-            if label not in (0, 1):
-                raise DataError(f"word {word_id!r}: label {label!r} is not 0 or 1")
     return {word_id: max(labels_morph[word_id], labels_synt[word_id])
             for word_id in labels_morph}

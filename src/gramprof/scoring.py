@@ -64,7 +64,8 @@ class ChangeScore:
 
 def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
                     zero_profile_distance: float = 1.0) -> float:
-    """1 - cosine similarity of two non-negative integer count vectors.
+    """1 - cosine similarity of two non-negative integer count vectors
+    of equal length (``build_vectors`` aligns them).
 
     If exactly one vector is all-zero the profile appeared or vanished
     and ``zero_profile_distance`` is returned; two all-zero (or empty)
@@ -73,8 +74,6 @@ def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
     exactly then), and any other result is clamped to [0, 1] against
     float round-off.
     """
-    if len(v_a) != len(v_b):
-        raise ValueError(f"vector length mismatch: {len(v_a)} vs {len(v_b)}")
     squared_a = sum(map(operator.mul, v_a, v_a))
     squared_b = sum(map(operator.mul, v_b, v_b))
     if squared_a == 0 and squared_b == 0:

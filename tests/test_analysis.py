@@ -1,9 +1,11 @@
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
+from gramprof import analysis
 from gramprof.analysis import (FeatureMatrix, build_feature_matrix,
                                category_correlations, exact_spearman_p_value,
                                spearman_p_value, standardize, timeline,
@@ -120,6 +122,14 @@ def test_build_feature_matrix():
     assert np.all((matrix.values >= 0) & (matrix.values <= 1))
 
 
+def test_feats_category_named_like_the_syntax_column_is_rejected():
+    profiles = small_profiles()
+    profiles[("lass", "old")] = Profile({"Number=Sing|syntax=Yes": 70, "Number=Plur": 30},
+                                        {"nsubj": 100}, 100)
+    with pytest.raises(DataError, match="word 'lass' has a FEATS category named 'syntax'"):
+        build_feature_matrix(profiles, ("old", "new"), MethodConfig())
+
+
 def test_feature_matrix_subset_drops_dead_columns():
     matrix = build_feature_matrix(small_profiles(), ("old", "new"), MethodConfig())
     subset = matrix.subset(["lass"])
@@ -194,6 +204,17 @@ def test_logreg_row_duplication_invariance():
     doubled_result = train_logreg(doubled, doubled_labels)
     np.testing.assert_allclose(result.coefficients, doubled_result.coefficients,
                                atol=1e-6)
+
+
+def test_logreg_iteration_cap_warns_and_reports_not_converged(monkeypatch, caplog):
+    monkeypatch.setattr(analysis, "LOGREG_MAX_ITERATIONS", 3)
+    matrix, labels = separable_matrix(random.Random(17))
+    standardized, _ = standardize(matrix)
+    with caplog.at_level(logging.WARNING, logger="gramprof.analysis"):
+        result = train_logreg(standardized, labels)
+    assert not result.converged and result.iterations == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "logistic regression hit the 3-iteration cap (gradient max-norm still above 1e-08)"]
 
 
 def test_logreg_single_class_rejected():

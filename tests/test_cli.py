@@ -433,8 +433,10 @@ OLD_AND_NEW = ("periods:\n  - label: old\n    paths: [old.conllu]\n"
      ": dataset needs at least 2 periods"),
     ("targets: targets.tsv\n" + OLD_AND_NEW.replace("label: new", "label: old"),
      ": duplicate period labels"),
+    ("targets: targets.tsv\n" + OLD_AND_NEW.replace("[new.conllu]", "[]"),
+     ": period 'new' needs a non-empty 'paths' list"),
 ], ids=["string", "null", "list-of-paths", "mapping", "yaml-syntax", "top-level-list",
-        "no-targets-key", "no-targets-file", "one-period", "repeated-label"])
+        "no-targets-key", "no-targets-file", "one-period", "repeated-label", "empty-paths"])
 def test_malformed_dataset_periods_exit_2(dataset, capsys, text, message):
     config = dataset / "bad.yml"
     config.write_text(text, encoding="utf-8")
@@ -1102,11 +1104,21 @@ def without_graded_scores(text):
     return "".join(line.rsplit("\t", 1)[0] + "\t-\n" for line in text.splitlines())
 
 
+def with_first_label_2(text):
+    first, rest = text.split("\n", 1)
+    return first.split("\t")[0] + "\t2\n" + rest
+
+
 # (file, its new text from the demo file's text, argv, exit code, error
 # message): a rejected record names its file and line; a file without
 # records names the file; a gold file without the task's values says so
 @pytest.mark.parametrize("name, edit, argv, code, message", [
     ("targets.tsv", lambda text: text + "w1\t\t\n", EXTRACT, 2, "{file}: line {last}: "),
+    ("labels.tsv", with_first_label_2, ["evaluate", "{d}/labels.tsv", "{d}/gold.tsv",
+                                        "--task", "binary"], 1,
+     "{file}: line 1: label '2' is not 0 or 1"),
+    ("labels.tsv", with_first_label_2, ["combine-labels", "{d}/labels.tsv", "{labels}"], 1,
+     "{file}: line 1: label '2' is not 0 or 1"),
     ("targets.tsv", lambda text: text + "walk_any\twalk\t,\n", EXTRACT, 2,
      "{file}: line {last}: "),
     ("gold.tsv", lambda text: text + "w\t-\t-\n", EVALUATE_GRADED, 1,
@@ -1132,7 +1144,8 @@ def without_graded_scores(text):
      "{file}: gold data contains no binary labels"),
     ("gold.tsv", without_graded_scores, ANALYZE + ["--report", "correlation"], 1,
      "{file}: gold data contains no graded scores"),
-], ids=["empty-lemma", "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
+], ids=["empty-lemma", "label-not-0-or-1", "combined-label-not-0-or-1",
+        "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
         "empty-word-id", "targets-without-records", "gold-without-records",
         "scores-without-records", "scores-with-whitespace-only-lines",
         "gold-without-binary-labels", "gold-without-graded-scores",
@@ -1140,7 +1153,8 @@ def without_graded_scores(text):
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
                                                   argv, code, message):
     d = demo_copy(tmp_path)
-    (d / "scores.tsv").write_bytes(demo["scores"].read_bytes())
+    for each in ("scores", "labels"):
+        (d / f"{each}.tsv").write_bytes(demo[each].read_bytes())
     text = edit((d / name).read_text(encoding="utf-8"))
     (d / name).write_text(text, encoding="utf-8")
     capsys.readouterr()

@@ -77,11 +77,6 @@ def test_classify_topn_reads_the_ratio_as_its_decimal():
                 (ratio, n)
 
 
-def test_classify_topn_bad_ratio():
-    with pytest.raises(DataError):
-        classify_topn([("a", 1.0)], 1.5)
-
-
 def test_changepoint_two_level_example():
     ranking = ranking_of({"a": 0.9, "b": 0.85, "c": 0.2, "d": 0.15, "e": 0.1})
     labels = classify_changepoint(ranking)
@@ -166,14 +161,6 @@ def test_average_binary():
     assert average_binary({"a": 0}, {"a": 0}) == {"a": 0}
     assert average_binary({"a": 1}, {"a": 0}) == {"a": 1}
     assert average_binary({"a": 0}, {"a": 1}) == {"a": 1}
-
-
-@pytest.mark.parametrize("label", [2, -1, 0.5])
-def test_average_binary_rejects_a_label_that_is_not_0_or_1(label):
-    with pytest.raises(DataError, match="is not 0 or 1"):
-        average_binary({"a": 0, "b": label}, {"a": 0, "b": 0})
-    with pytest.raises(DataError, match="is not 0 or 1"):
-        average_binary({"a": 0, "b": 0}, {"a": 0, "b": label})
 
 
 def test_average_binary_key_mismatch():

@@ -94,6 +94,12 @@ def test_extract_requires_two_periods():
         extract_profiles({"only": []}, [TargetSpec("x", "x")])
 
 
+def test_extract_requires_a_target():
+    corpora = {"a": [io.StringIO(token_line("lass"))], "b": [io.StringIO(token_line("lass"))]}
+    with pytest.raises(ConfigError, match="^no targets given$"):
+        extract_profiles(corpora, [])
+
+
 def test_extract_unreadable_corpus_names_period_and_path():
     corpora = {"old": ["/nonexistent/path.conllu"], "new": []}
     with pytest.raises(ConfigError) as err:
