@@ -54,23 +54,6 @@ class FeatureMatrix:
     values: np.ndarray
     missing: np.ndarray
 
-    def subset(self, word_ids: Sequence[str]) -> "FeatureMatrix":
-        """Row subset in the given order, dropping columns that become
-        all-missing or all-zero. Every word must be one of the matrix's."""
-        import numpy as np
-        index = {w: i for i, w in enumerate(self.word_ids)}
-        rows = [index[w] for w in word_ids]
-        values = self.values[rows, :]
-        missing = self.missing[rows, :]
-        keep = [j for j in range(len(self.columns))
-                if not (np.all(missing[:, j]) or np.all(values[:, j] == 0.0))]
-        return FeatureMatrix(
-            word_ids=list(word_ids),
-            columns=[self.columns[j] for j in keep],
-            values=values[:, keep],
-            missing=missing[:, keep],
-        )
-
 
 def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
                          pair: tuple[str, str], config: MethodConfig

@@ -335,14 +335,15 @@ def cmd_analyze(args) -> int:
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     gold_records = load_gold(args.gold)
-    matrix = build_feature_matrix(store.profiles, pair, config)
-    if args.subset_suffix:
-        keep = [w for w in matrix.word_ids if w.endswith(args.subset_suffix)]
-        if not keep:
-            raise DataError(f"no words match suffix {args.subset_suffix!r}")
-        matrix = matrix.subset(keep)
-        kept = set(keep)
-        gold_records = {w: r for w, r in gold_records.items() if w in kept}
+    profiles, suffix = store.profiles, args.subset_suffix
+    if suffix:
+        # A subset analysis is the analysis of a store and a gold file
+        # holding only the words with the suffix.
+        profiles = {key: p for key, p in profiles.items() if key[0].endswith(suffix)}
+        if not profiles:
+            raise DataError(f"no words match suffix {suffix!r}")
+        gold_records = {w: r for w, r in gold_records.items() if w.endswith(suffix)}
+    matrix = build_feature_matrix(profiles, pair, config)
 
     if args.report == "logreg":
         with _naming(args.gold):

@@ -205,6 +205,9 @@ class ProfileStore:
         if type(options) is not dict:
             raise DataError(f"profile store header: options must be an object, "
                             f"got {options!r}")
+        if len(periods) < 2:
+            raise DataError(f"profile store header lists periods {periods}; a store "
+                            f"needs at least two")
         known_periods = set(periods)
         if len(known_periods) != len(periods):
             label = next(p for i, p in enumerate(periods) if p in periods[:i])
@@ -242,6 +245,8 @@ class ProfileStore:
             if key in profiles:
                 raise DataError(f"profile store line {line_number}: duplicate record {key}")
             profiles[key] = Profile(morph, synt, total)
+        if not profiles:
+            raise DataError("profile store has a header but no record")
         for word_id in sorted({word_id for word_id, _ in profiles}):
             for period in periods:
                 if (word_id, period) not in profiles:

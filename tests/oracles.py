@@ -16,8 +16,10 @@ mpmath.mp.dps = 50
 
 
 def cosine_distance_oracle(v_a, v_b, zero_profile_distance=1.0):
-    """Cosine distance with an exact rational dot product and
-    high-precision square roots."""
+    """Cosine distance with an exact rational dot product and a
+    high-precision square root, as a 50-digit mpmath number; exactly 0
+    for proportional integer vectors, whose squared norms multiply to a
+    perfect square."""
     assert len(v_a) == len(v_b)
     dot = sum(Fraction(a) * Fraction(b) for a, b in zip(v_a, v_b))
     norm2_a = sum(Fraction(a) * Fraction(a) for a in v_a)
@@ -26,11 +28,10 @@ def cosine_distance_oracle(v_a, v_b, zero_profile_distance=1.0):
         return 0.0
     if norm2_a == 0 or norm2_b == 0:
         return zero_profile_distance
+    norm2 = norm2_a * norm2_b
     similarity = mpmath.mpf(dot.numerator) / dot.denominator / mpmath.sqrt(
-        mpmath.mpf(norm2_a.numerator) / norm2_a.denominator
-        * mpmath.mpf(norm2_b.numerator) / norm2_b.denominator
-    )
-    return float(1 - similarity)
+        mpmath.mpf(norm2.numerator) / norm2.denominator)
+    return 1 - similarity
 
 
 def average_ranks_oracle(values):
@@ -92,6 +93,68 @@ def filter_keeps_oracle(joint, total, threshold):
     strictly below the threshold (read as the decimal it is written as)
     times the total, in exact rationals."""
     return not Fraction(joint) < Fraction(str(threshold)) * total
+
+
+def filtered_distance_oracle(counts_a, counts_b, total_a, total_b, config):
+    """One distance of README's method: drop every feature whose
+    occurrence sum over the two periods is below the filter share of the
+    word's total usages (of each period's own total, per table, with
+    ``per_period_filter``), then take the cosine distance of what is
+    left, aligned on the features."""
+    keys = sorted(counts_a.keys() | counts_b.keys())
+    joint = {key: counts_a.get(key, 0) + counts_b.get(key, 0) for key in keys}
+    if config.per_period_filter:
+        totals = total_a, total_b
+    else:
+        totals = total_a + total_b, total_a + total_b
+    kept = [{key: count for key, count in counts.items()
+             if filter_keeps_oracle(joint[key], total, config.filter_threshold)}
+            for counts, total in zip((counts_a, counts_b), totals)]
+    return cosine_distance_oracle([kept[0].get(key, 0) for key in keys],
+                                  [kept[1].get(key, 0) for key in keys],
+                                  config.zero_profile_distance)
+
+
+def method_oracle(profile_a, profile_b, config):
+    """A word's change score under ``config`` (a MethodConfig), from
+    README's "Method variants": ``morphology`` is the distance of the
+    combined-FEATS tables, ``syntax`` that of the DEPREL tables and
+    ``average`` their mean. With separation the morphology distance is
+    the max (or mean) of the per-category distances, each category
+    filtered on its own against the word's totals; a word that expresses
+    no category in either period has none, and then ``morphology``
+    scores the zero-profile distance and ``average`` the syntax
+    distance. ``combination`` is the max of the per-category distances
+    and the syntax distance. Exact rationals, with 50-digit square roots
+    and means."""
+    def distance(counts_a, counts_b):
+        return filtered_distance_oracle(counts_a, counts_b, profile_a.total, profile_b.total,
+                                        config)
+
+    d_synt = distance(profile_a.synt, profile_b.synt)
+    categories = []
+    if not config.separation:
+        d_morph = distance(profile_a.morph, profile_b.morph)
+    else:
+        separated_a = separate_categories_oracle(profile_a.morph)[0]
+        separated_b = separate_categories_oracle(profile_b.morph)[0]
+        categories = [distance(separated_a.get(name, {}), separated_b.get(name, {}))
+                      for name in separated_a.keys() | separated_b.keys()]
+        if not categories:
+            d_morph = None
+        elif config.aggregation == "max":
+            d_morph = max(categories)
+        else:
+            d_morph = mpmath.fsum(categories) / len(categories)
+    if config.feature_kind == "syntax":
+        return d_synt
+    if config.feature_kind == "combination":
+        return max([*categories, d_synt])
+    if d_morph is None:
+        return config.zero_profile_distance if config.feature_kind == "morphology" else d_synt
+    if config.feature_kind == "morphology":
+        return d_morph
+    return (d_morph + d_synt) / 2
 
 
 def topn_count_oracle(ratio, n):

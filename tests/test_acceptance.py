@@ -71,7 +71,7 @@ def test_criterion_2_cosine_matches_high_precision_oracle():
         n = rng.randrange(1, 51)
         v_a = [rng.randrange(0, 1000) for _ in range(n)]
         v_b = [rng.randrange(0, 1000) for _ in range(n)]
-        diff = abs(cosine_distance(v_a, v_b) - cosine_distance_oracle(v_a, v_b))
+        diff = float(abs(cosine_distance(v_a, v_b) - cosine_distance_oracle(v_a, v_b)))
         worst = max(worst, diff)
         assert diff < 1e-12
     report(2, f"cosine distance within 1e-12 of the oracle "

@@ -130,11 +130,11 @@ def test_feats_category_named_like_the_syntax_column_is_rejected():
         build_feature_matrix(profiles, ("old", "new"), MethodConfig())
 
 
-def test_feature_matrix_subset_drops_dead_columns():
-    matrix = build_feature_matrix(small_profiles(), ("old", "new"), MethodConfig())
-    subset = matrix.subset(["lass"])
-    assert subset.word_ids == ["lass"]
-    assert "Tense" not in subset.columns  # missing for every remaining row
+def test_feature_matrix_columns_are_the_categories_its_words_express():
+    lass_only = {key: p for key, p in small_profiles().items() if key[0] == "lass"}
+    matrix = build_feature_matrix(lass_only, ("old", "new"), MethodConfig())
+    assert matrix.word_ids == ["lass"]
+    assert matrix.columns == ["Number", "syntax"]  # only walk expresses Tense
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ import pytest
 
 import gramprof
 from gramprof import cli
-from gramprof.analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
-                               category_correlations)
+from gramprof.analysis import LOGREG_L2_INVERSE_STRENGTH
 from gramprof.cli import main
+from gramprof.conllu import parse_feats
 from gramprof.decision import classify_changepoint, rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
@@ -924,39 +924,111 @@ def test_files_are_opened_and_os_errors_caught_only_in_the_io_helpers():
     assert stray == []
 
 
-def suffixed_store(path, rng, n_words):
+def suffixed_store(rng, n_words):
     """synth.random_store with ``_nn`` appended to the even word ids and
-    ``_vb`` to the odd ones, saved to ``path``."""
+    ``_vb`` to the odd ones, and random gold values for each word."""
     store = synth.random_store(rng, n_words, ["old", "new"])
     suffix = {w: w + ("_nn" if i % 2 == 0 else "_vb") for i, w in enumerate(store.word_ids)}
-    store.profiles = {(suffix[w], p): Profile(q.morph, q.synt, q.total)
-                      for (w, p), q in store.profiles.items()}
-    with open(path, "w", encoding="utf-8") as f:
-        store.save(f)
-    return store
+    store.profiles = {(suffix[w], p): q for (w, p), q in store.profiles.items()}
+    return store, {w: (rng.randrange(2), rng.random()) for w in store.word_ids}
 
 
-def test_analyze_subset_suffix_equals_library_on_the_subset(tmp_path, capsys):
-    rng = random.Random(11)
-    store = suffixed_store(tmp_path / "store.jsonl", rng, 40)
-    graded = {w: rng.random() for w in store.word_ids}
-    (tmp_path / "gold.tsv").write_text("".join(f"{w}\t{rng.randrange(2)}\t{v!r}\n"
-                                               for w, v in graded.items()),
-                                       encoding="utf-8")
-    keep = [w for w in store.word_ids if w.endswith("_nn")]
-    matrix = build_feature_matrix(store.profiles, ("old", "new"), MethodConfig())
-    expected = category_correlations(matrix.subset(keep), {w: graded[w] for w in keep})
-    assert any(r.rho is not None for r in expected.values())
+def verbs_and(nouns):
+    """A store of the ``nouns`` profiles ({word_id: (old, new)}) plus five
+    ``_vb`` words whose distances all differ, and gold values for each
+    word that hold both binary classes within either suffix."""
+    profiles = {(w, "old"): old for w, (old, new) in nouns.items()}
+    profiles.update(((w, "new"), new) for w, (old, new) in nouns.items())
+    for i in range(5):
+        profiles[(f"v{i}_vb", "old")] = Profile({"Tense=Past": 5, "Tense=Pres": 1 + i},
+                                                {"obj": 6 + i}, 6 + i)
+        profiles[(f"v{i}_vb", "new")] = Profile({"Tense=Pres": 5}, {"obj": 2, "nsubj": 3}, 5)
+    store = ProfileStore(["old", "new"], profiles)
+    return store, {w: (i % 2, i / 10) for i, w in enumerate(store.word_ids)}
+
+
+def constant_nouns():
+    """Five ``_nn`` words, each with the same proportions in both periods,
+    so that every one of their distances is 0."""
+    return verbs_and({f"n{i}_nn": (Profile({"Case=Nom|Number=Sing": 2 + i}, {"nsubj": 2 + i},
+                                           2 + i),
+                                   Profile({"Case=Nom|Number=Sing": 4}, {"nsubj": 4}, 4))
+                      for i in range(5)})
+
+
+def nouns_absent_from_new():
+    """Five ``_nn`` words none of which occurs in period new."""
+    return verbs_and({f"n{i}_nn": (Profile({"Number=Sing": 3}, {"nsubj": 3}, 3), Profile())
+                      for i in range(5)})
+
+
+SUBSET_INPUTS = {"random": lambda: suffixed_store(random.Random(11), 40),
+                 "constant": constant_nouns, "empty-period": nouns_absent_from_new}
+
+
+def write_store_and_gold(store, gold, words, directory):
+    """``store`` and ``gold`` restricted to ``words``, saved as
+    ``directory/store.jsonl`` and ``directory/gold.tsv``."""
+    directory.mkdir()
+    with open(directory / "store.jsonl", "w", encoding="utf-8") as f:
+        ProfileStore(store.periods, {key: p for key, p in store.profiles.items()
+                                     if key[0] in words}).save(f)
+    (directory / "gold.tsv").write_text("".join(f"{w}\t{gold[w][0]}\t{gold[w][1]!r}\n"
+                                                for w in words), encoding="utf-8")
+    return directory / "store.jsonl", directory / "gold.tsv"
+
+
+def outcome(argv, capsys, caplog):
+    """Exit code, stdout, stderr and logged records of an in-process call
+    that starts, as a shell run does, with a cold parse_feats cache; the
+    records are what a shell run prints on stderr before its error."""
+    parse_feats.cache_clear()
     capsys.readouterr()
-    assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
-                "--report", "correlation", "--subset-suffix", "_nn",
-                "--format", "json-lines"]) == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["category"], r["rho"], r["p_value"], r["n"]) for r in rows] == \
-        [(column, r.rho, r.p_value, r.n) for column, r in expected.items()]
-    assert run(["analyze", tmp_path / "store.jsonl", tmp_path / "gold.tsv",
-                "--report", "correlation", "--subset-suffix", "_xx"]) == 1
-    assert "no words match suffix '_xx'" in capsys.readouterr().err
+    caplog.clear()
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [(r.levelname, r.getMessage())
+                                              for r in caplog.records]
+
+
+@pytest.mark.parametrize("output_format", ["text", "json-lines"])
+@pytest.mark.parametrize("report", ["logreg", "correlation"])
+@pytest.mark.parametrize("kind", SUBSET_INPUTS)
+def test_analyze_subset_suffix_is_analyze_of_a_store_of_those_words(tmp_path, capsys, caplog,
+                                                                    kind, report,
+                                                                    output_format):
+    store, gold = SUBSET_INPUTS[kind]()
+    nouns = [w for w in store.word_ids if w.endswith("_nn")]
+    assert 5 <= len(nouns) < len(store.word_ids)
+    whole = write_store_and_gold(store, gold, store.word_ids, tmp_path / "whole")
+    alone = write_store_and_gold(store, gold, nouns, tmp_path / "nouns")
+    flags = ["--report", report, "--format", output_format]
+    subset = outcome(["analyze", *whole, *flags, "--subset-suffix", "_nn"], capsys, caplog)
+    assert subset == outcome(["analyze", *alone, *flags], capsys, caplog)
+    code, out, err, logged = subset
+    if kind == "empty-period":
+        assert (code, out, err) == (1, "", "error: period 'new': no target word occurs in "
+                                           "it, so the pair 'old'-'new' cannot be scored\n")
+        return
+    assert (code, err) == (0, "")
+    categories = ["Case", "Number", "syntax"]
+    if kind == "constant" and report == "logreg":
+        assert [message for _, message in logged] == [
+            f"category {c!r} has constant distances; weight is uninformative"
+            for c in categories]
+    if kind == "constant" and output_format == "json-lines":
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["category"] for r in rows if "category" in r] == categories
+        if report == "correlation":
+            assert {r["note"] for r in rows} == {"constant values"}
+
+
+def test_analyze_subset_suffix_that_matches_no_word_exits_1(tmp_path, capsys):
+    store, gold = suffixed_store(random.Random(11), 10)
+    paths = write_store_and_gold(store, gold, store.word_ids, tmp_path / "whole")
+    capsys.readouterr()
+    assert run(["analyze", *paths, "--report", "correlation", "--subset-suffix", "_xx"]) == 1
+    assert capsys.readouterr().err == "error: no words match suffix '_xx'\n"
 
 
 def tsv_of_json_lines(lines, tables):
@@ -1283,3 +1355,33 @@ def test_pair_with_a_period_no_word_occurs_in_exits_1(tmp_path, argv, empty):
     assert code == 1, err
     assert errors == ["error: period 'new': no target word occurs in it, "
                       "so the pair 'old'-'new' cannot be scored"], err
+
+
+@pytest.mark.parametrize("periods, totals, message", [
+    (["old"], {"old": 3}, "header lists periods ['old']; a store needs at least two"),
+    (["old", "new"], {}, "profile store has a header but no record"),
+    (["old", "new"], {"old": 3, "new": 0}, "period 'new': no target word occurs in it, "
+                                           "so the pair 'old'-'new' cannot be scored"),
+], ids=["one-period", "header-only", "no-word-in-new"])
+def test_store_that_cannot_give_a_ranking_exits_1_in_process(tmp_path, capsys, periods,
+                                                             totals, message):
+    path = tmp_path / "store.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        ProfileStore(periods, {(w, period): Profile({}, {"nsubj": n} if n else {}, n)
+                               for period, n in totals.items() for w in ("a", "b")}).save(f)
+    capsys.readouterr()
+    assert run(["score", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+
+
+def test_read_failure_exits_1_naming_the_file_in_process(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_bytes(b"a\t0.5\n# \xff\n")
+    capsys.readouterr()
+    assert run(["rank", scores]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: error reading score file {scores}: 'utf-8' codec "
+                                   f"can't decode byte 0xff")

@@ -8,6 +8,12 @@
 * One ranking order: every score file lists its words in the order
   ``rank_words`` gives its own printed scores (descending, ties by word
   id), so its first K lines are ``rank --top K``.
+* The method oracle: under those eight variants and
+  ``--zero-distance 0.5``, every score ``score`` prints equals the
+  correctly rounded value of ``oracles.method_oracle``, in the order
+  ``rank_words`` gives those values, on three ``synth.random_store``
+  stores and on small stores of the benchmark generator's three
+  workloads.
 * The extracted store is byte-identical when a corpus file is split at
   a sentence boundary, when a period's files are reordered, and when
   each file's compression is switched (``.gz`` against plain).
@@ -20,19 +26,25 @@
 
 import gzip
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 import yaml
 
 import golden
 import gramprof
+import synth
 from gramprof import cli
 from gramprof.decision import rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import score_period_pair
+from oracles import method_oracle
+
+import gen  # bench/gen.py: golden puts bench/ on sys.path
 
 SRC = str(Path(gramprof.__file__).resolve().parents[1])
 VERSIONS, ENTRIES = golden.read_manifest()
@@ -43,6 +55,11 @@ METHOD_VARIANTS = {**golden.workloads.SCORE_VARIANTS,
                    "filter-0": [*COMBINATION, "--filter", "0"],
                    "filter-per-period": [*COMBINATION, "--filter-per-period"]}
 SCORE_CONFIGS = {**METHOD_VARIANTS, "explain": [*COMBINATION, "--explain"]}
+ORACLE_CONFIGS = {**METHOD_VARIANTS, "zero-distance-0.5": [
+    *golden.workloads.SCORE_VARIANTS["separate-max"], "--zero-distance", "0.5"]}
+# words (random stores, rescore-sweep) or tokens per period (extraction workloads)
+ORACLE_STORES = {"random-1": 120, "random-2": 120, "random-3": 120,
+                 "extract-zipf": 5_000, "extract-dense": 1_000, "rescore-sweep": 120}
 FRESH_RUN_TIMEOUT = 300
 
 
@@ -112,7 +129,7 @@ def skip_other_versions(name: str) -> None:
 
 def method_config(variant: str):
     return cli._method_config(cli.build_parser().parse_args(
-        ["score", "store.jsonl", *METHOD_VARIANTS[variant]]))
+        ["score", "store.jsonl", *ORACLE_CONFIGS[variant]]))
 
 
 def bits(scores) -> list[tuple]:
@@ -202,6 +219,56 @@ def test_score_file_order_is_rank_words_of_its_printed_values(store, score_files
     assert len(printed) == len(rows) == len(store.word_ids)
     assert len(set(printed.values())) < len(printed)  # there are ties to order
     assert [word_id for word_id, _ in rows] == [word_id for word_id, _ in rank_words(printed)]
+
+
+# ----------------------------------------------------------------------
+# the method oracle
+
+def oracle_store(name: str, root: Path) -> ProfileStore:
+    """A ``synth.random_store`` (``random-<seed>``), or the store the
+    generator's truth gives for a small run of a workload."""
+    size = ORACLE_STORES[name]
+    if name.startswith("random-"):
+        return synth.random_store(random.Random(int(name.split("-")[1])), size,
+                                  ["old", "new"])
+    truth = gen.generate(name, 1, root / name, size)
+    return ProfileStore(truth["periods"], {
+        (word_id, period): Profile(record["morph"], record["synt"], record["total"])
+        for word_id, periods in truth["profiles"].items()
+        for period, record in periods.items()})
+
+
+def printable(value) -> set[int]:
+    """The 6-decimal values, in millionths, that a score may print for an
+    oracle value: the correctly rounded one, or, within 1e-12 of a
+    rounding midpoint, both neighbours."""
+    scaled = mpmath.mpf(value) * 10**6
+    lower = int(mpmath.floor(scaled))
+    above_midpoint = scaled - lower - mpmath.mpf(1) / 2
+    if abs(above_midpoint) < mpmath.mpf(10)**-6:
+        return {lower, lower + 1}
+    return {lower + 1 if above_midpoint > 0 else lower}
+
+
+@pytest.mark.parametrize("name", ORACLE_STORES)
+def test_every_printed_score_is_the_rounded_method_oracle(tmp_path, name):
+    store = oracle_store(name, tmp_path)
+    pair = store.periods[0], store.periods[-1]
+    path = tmp_path / "store.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        store.save(f)
+    for config, flags in ORACLE_CONFIGS.items():
+        out = tmp_path / f"score.{config}.tsv"
+        assert cli.main(["score", str(path), *flags, "--pair", *pair, "-o", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        printed = {word_id: int(score.replace(".", "")) for word_id, score in rows}
+        assert len(printed) == len(rows) == len(store.word_ids)
+        method = method_config(config)
+        for word_id, score in printed.items():
+            value = method_oracle(store.profiles[(word_id, pair[0])],
+                                  store.profiles[(word_id, pair[1])], method)
+            assert score in printable(value), (config, word_id, score, value)
+        assert [word_id for word_id, _ in rows] == [word_id for word_id, _ in rank_words(printed)]
 
 
 def dense_variant(run, tmp_path, change) -> str:

@@ -478,9 +478,13 @@ def replace_in_line(number, old, new):
      "^unsupported profile store version 2$"),
     (replace_in_line(2, ', "word_id": "lass"', ""),
      "^profile store line 2: bad record: 'word_id'$"),
+    (lambda lines: [lines[0].replace('["old", "new"]', '["old"]')]
+     + [line for line in lines[1:] if '"period": "old"' in line],
+     r"^profile store header lists periods \['old'\]; a store needs at least two$"),
+    (lambda lines: lines[:1], "^profile store has a header but no record$"),
 ], ids=["unknown-period", "grid-gap", "period-not-string", "header-not-object",
         "options-not-object", "synt-sum-not-total", "zero-count", "morph-exceeds-total",
-        "empty", "header-not-json", "version-2", "no-word-id"])
+        "empty", "header-not-json", "version-2", "no-word-id", "one-period", "header-only"])
 def test_store_rejects_bad_header_and_grid(edit, message):
     buffer = io.StringIO()
     make_store().save(buffer)
