@@ -21,7 +21,7 @@ from .evaluation import (GoldRecord, accuracy, binary_gold, graded_gold, load_go
                          macro_f1, per_class_f1, spearman)
 from .profiles import Profile, ProfileStore, extract_profiles
 from .scoring import ChangeScore, MethodConfig, score_period_pair
-from .tsv import read_tsv
+from .tsv import finite, read_tsv, zero_or_one
 
 __all__ = [
     "__version__",
@@ -30,7 +30,7 @@ __all__ = [
     "MethodConfig", "Profile", "ProfileStore", "TargetSpec", "TimelineRow",
     "accuracy", "average_binary", "binary_gold", "build_feature_matrix",
     "category_correlations", "classify_changepoint", "classify_topn",
-    "extract_profiles", "graded_gold", "load_gold", "load_targets", "macro_f1",
-    "per_class_f1", "rank_words", "read_tsv", "score_period_pair", "spearman",
-    "standardize", "timeline", "train_logreg",
+    "extract_profiles", "finite", "graded_gold", "load_gold", "load_targets",
+    "macro_f1", "per_class_f1", "rank_words", "read_tsv", "score_period_pair",
+    "spearman", "standardize", "timeline", "train_logreg", "zero_or_one",
 ]

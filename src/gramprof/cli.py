@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -30,7 +29,7 @@ from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1,
     per_class_f1, spearman
 from .profiles import ProfileStore, extract_profiles
 from .scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
-from .tsv import read_tsv
+from .tsv import finite, read_tsv, zero_or_one
 
 logger = logging.getLogger(__name__)
 
@@ -136,16 +135,11 @@ def _naming(path) -> Iterator[None]:
 
 
 def _parse_score(columns: list[str]) -> float:
-    value = float(columns[1])
-    if not math.isfinite(value):
-        raise ValueError(f"score {columns[1]!r} is not finite")
-    return value
+    return finite(columns[1], "score")
 
 
 def _parse_label(columns: list[str]) -> int:
-    if columns[1] not in ("0", "1"):
-        raise ValueError(f"label {columns[1]!r} is not 0 or 1")
-    return int(columns[1])
+    return zero_or_one(columns[1], "label")
 
 
 def _read_score_tsv(path) -> dict[str, float]:

@@ -9,12 +9,11 @@ broken answer file and intersecting would inflate scores.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError
-from .tsv import read_tsv
+from .tsv import finite, read_tsv, zero_or_one
 
 logger = logging.getLogger(__name__)
 
@@ -29,8 +28,6 @@ class GoldRecord:
     def __post_init__(self):
         if self.binary is None and self.graded is None:
             raise DataError("gold record has neither a binary label nor a graded score")
-        if self.binary is not None and self.binary not in (0, 1):
-            raise DataError("binary label must be 0 or 1")
 
 
 def check_same_words(a: Iterable[str], b: Iterable[str], side_a: str, side_b: str) -> None:
@@ -139,13 +136,11 @@ def macro_f1(pred: Mapping[str, int], gold: Mapping[str, int]) -> float:
 def load_gold(path) -> dict[str, GoldRecord]:
     """Read a gold file: ``word_id<TAB>binary<TAB>graded`` per line,
     ``-`` for an absent value. ``#`` comments and blank lines allowed.
-    Graded scores must be finite."""
+    A binary label is exactly ``0`` or ``1``; a graded score is finite."""
     def parse(columns: list[str]) -> GoldRecord:
         _, binary, graded = columns
-        score = None if graded == "-" else float(graded)
-        if score is not None and not math.isfinite(score):
-            raise ValueError(f"graded score {graded!r} is not finite")
-        return GoldRecord(None if binary == "-" else int(binary), score)
+        return GoldRecord(None if binary == "-" else zero_or_one(binary, "binary label"),
+                          None if graded == "-" else finite(graded, "graded score"))
 
     return read_tsv(path, "gold file", parse, "word_id<TAB>binary<TAB>graded",
                     DataError, 3, 3)

@@ -165,7 +165,14 @@ class ProfileStore:
 
     def save(self, stream: TextIO) -> None:
         """Write the store as JSON lines: a version header followed by
-        one record per (word_id, period) key."""
+        one record per (word_id, period) key. A key whose period is not
+        in ``periods`` raises DataError, since ``load`` would reject it."""
+        order = {label: i for i, label in enumerate(self.periods)}
+        try:
+            keys = sorted(self.profiles, key=lambda k: (k[0], order[k[1]]))
+        except KeyError:
+            key = next(k for k in self.profiles if k[1] not in order)
+            raise DataError(f"profile key {key!r}: period not in {self.periods!r}") from None
         header = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -173,8 +180,7 @@ class ProfileStore:
             "options": self.options,
         }
         stream.write(json.dumps(header, sort_keys=True) + "\n")
-        order = {label: i for i, label in enumerate(self.periods)}
-        for (word_id, period) in sorted(self.profiles, key=lambda k: (k[0], order.get(k[1], 0))):
+        for (word_id, period) in keys:
             p = self.profiles[(word_id, period)]
             record = {
                 "word_id": word_id,

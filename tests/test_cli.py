@@ -1216,12 +1216,19 @@ def with_first_label_2(text):
      "{file}: gold data contains no binary labels"),
     ("gold.tsv", without_graded_scores, ANALYZE + ["--report", "correlation"], 1,
      "{file}: gold data contains no graded scores"),
+    ("gold.tsv", lambda text: text + "w\t+1\t0.5\n", EVALUATE_GRADED, 1,
+     "{file}: line {last}: binary label '+1' is not 0 or 1"),
+    ("gold.tsv", lambda text: text + "w\t+1\t0.5\n", ANALYZE + ["--report", "logreg"], 1,
+     "{file}: line {last}: binary label '+1' is not 0 or 1"),
+    ("targets.tsv", lambda text: text + "lass \tlast\n", EXTRACT, 2,
+     "{file}: line {last}: duplicate word 'lass'"),
 ], ids=["empty-lemma", "label-not-0-or-1", "combined-label-not-0-or-1",
         "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
         "empty-word-id", "targets-without-records", "gold-without-records",
         "scores-without-records", "scores-with-whitespace-only-lines",
         "gold-without-binary-labels", "gold-without-graded-scores",
-        "analyze-gold-without-binary-labels", "analyze-gold-without-graded-scores"])
+        "analyze-gold-without-binary-labels", "analyze-gold-without-graded-scores",
+        "gold-binary-signed", "analyze-gold-binary-signed", "target-id-repeated-with-space"])
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
                                                   argv, code, message):
     d = demo_copy(tmp_path)

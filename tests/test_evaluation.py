@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -154,8 +155,6 @@ def test_gold_record_validation():
     GoldRecord(graded=0.5)
     with pytest.raises(DataError):
         GoldRecord()
-    with pytest.raises(DataError):
-        GoldRecord(binary=2)
 
 
 def test_load_gold(tmp_path):
@@ -183,4 +182,14 @@ def test_load_gold_rejects_bad_lines(tmp_path):
         load_gold(path)
     path.write_text("lass\t1\t0.5\nlass\t0\t0.1\n", encoding="utf-8")
     with pytest.raises(DataError):
+        load_gold(path)
+
+
+# the binary column holds exactly 0, 1 or -, as a label file holds 0 or 1
+@pytest.mark.parametrize("binary", ["2", "+1", " 0", "01", "1.0", ""])
+def test_load_gold_rejects_a_binary_label_that_is_not_0_or_1(tmp_path, binary):
+    path = tmp_path / "gold.tsv"
+    path.write_text(f"walk\t0\t0.1\nlass\t{binary}\t0.5\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: binary label "
+                                        f"'{re.escape(binary)}' is not 0 or 1$"):
         load_gold(path)

@@ -441,6 +441,16 @@ def test_store_save_deterministic():
     assert first.getvalue() == second.getvalue()
 
 
+def test_store_save_rejects_a_key_outside_its_periods():
+    store = ProfileStore(periods=["a", "b"], profiles={
+        ("w", "a"): Profile({}, {}, 0), ("w", "b"): Profile({}, {}, 0),
+        ("w", "c"): Profile({}, {}, 0)})
+    buffer = io.StringIO()
+    with pytest.raises(DataError, match=r"^profile key \('w', 'c'\): period not in \['a', 'b'\]$"):
+        store.save(buffer)
+    assert buffer.getvalue() == ""
+
+
 def test_store_rejects_wrong_format():
     with pytest.raises(DataError):
         ProfileStore.load(io.StringIO('{"format": "something-else", "version": 1}\n'))
