@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
 from .evaluation import accuracy, average_ranks, check_same_words, macro_f1, rank_correlation
-from .profiles import Profile, separate_categories
+from .profiles import Profile, separate_categories, warn_malformed_feats
 from .scoring import MethodConfig, score_period_pair
 # bench/spans.py patches these two names on this module by attribute, so
 # they stay bound here although build_feature_matrix no longer calls them.
@@ -309,8 +309,9 @@ def timeline(profiles_by_period: Mapping[str, Profile], category: str
     order. Every period gets a row for every value seen anywhere
     (zero-filled); proportions are per-period relative frequencies.
     The special category name ``syntax`` tabulates dependency
-    relations.
+    relations. Malformed FEATS entries are reported first.
     """
+    warn_malformed_feats(profiles_by_period.values())
     per_period_counts: dict[str, dict[str, int]] = {}
     available: set[str] = set()
     for period, profile in profiles_by_period.items():

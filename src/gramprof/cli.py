@@ -134,24 +134,16 @@ def _naming(path) -> Iterator[None]:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _parse_score(columns: list[str]) -> float:
-    return finite(columns[1], "score")
-
-
-def _parse_label(columns: list[str]) -> int:
-    return zero_or_one(columns[1], "label")
-
-
 def _read_score_tsv(path) -> dict[str, float]:
     """Read ``word_id<TAB>score`` lines; scores must be finite."""
-    return read_tsv(path, "score file", _parse_score, "word_id<TAB>score", DataError,
-                    2, 2)
+    return read_tsv(path, "score file", lambda columns: finite(columns[1], "score"),
+                    "word_id<TAB>score", DataError, 2, 2)
 
 
 def _read_label_tsv(path) -> dict[str, int]:
     """Read ``word_id<TAB>{0|1}`` lines."""
-    return read_tsv(path, "label file", _parse_label, "word_id<TAB>0|1", DataError,
-                    2, 2)
+    return read_tsv(path, "label file", lambda columns: zero_or_one(columns[1], "label"),
+                    "word_id<TAB>0|1", DataError, 2, 2)
 
 
 def _load_store(path) -> ProfileStore:
@@ -558,11 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig adds the stderr handler once a process; the level is per call.
+    logging.basicConfig(format="%(levelname)s: %(message)s", stream=sys.stderr)
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         code = args.func(args)
         sys.stdout.flush()

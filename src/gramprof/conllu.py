@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
 from .errors import INPUT_ENCODING, ConfigError, ConlluParseError
-from .tsv import read_tsv
+from .tsv import check_word_id, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +37,7 @@ class TargetSpec:
     upos_filter: Optional[frozenset[str]] = None
 
     def __post_init__(self):
-        if not self.word_id:
-            raise ConfigError("target with empty word_id")
+        check_word_id(self.word_id, ConfigError)
         if not self.lemma:
             raise ConfigError(f"target {self.word_id!r} has an empty lemma")
         if self.upos_filter is not None and not self.upos_filter:
@@ -46,25 +45,20 @@ class TargetSpec:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def parse_feats(feats: str) -> tuple[tuple[str, str], ...]:
-    """The ``(category, value)`` pairs of a FEATS string's well-formed
-    ``K=V`` entries, in order; an entry's category ends at its first ``=``.
-
-    ``_`` and the empty string hold none. An entry without ``=`` or
-    with an empty key is skipped with a warning. The result is cached
-    per string, so a string's warnings come when it is first split, and
-    again only after it is evicted or the cache is cleared.
-    """
-    if feats == "_" or feats == "":
-        return ()
-    pairs = []
-    for item in feats.split("|"):
-        key, equals, value = item.partition("=")
-        if not key or not equals:
-            logger.warning("skipping malformed FEATS entry %r in %r", item, feats)
-            continue
-        pairs.append((key, value))
-    return tuple(pairs)
+def parse_feats(feats: str) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """A FEATS string's well-formed ``K=V`` entries as ``(category,
+    value)`` pairs, and its malformed entries (no ``=``, or an empty key),
+    each in order; a category ends at the entry's first ``=``, and ``_``
+    and "" hold none. Nothing is logged: the cache is only a memo."""
+    pairs, malformed = [], []
+    if feats != "_" and feats != "":
+        for item in feats.split("|"):
+            key, equals, value = item.partition("=")
+            if key and equals:
+                pairs.append((key, value))
+            else:
+                malformed.append(item)
+    return tuple(pairs), tuple(malformed)
 
 
 def strip_deprel_subtype(deprel: str) -> str:

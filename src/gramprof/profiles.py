@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 from .conllu import DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus, parse_conllu, \
     parse_feats, strip_deprel_subtype
 from .errors import ConfigError, DataError, reading
+from .tsv import check_word_id
 
 logger = logging.getLogger(__name__)
 
@@ -50,17 +51,24 @@ def separate_categories(profile: Profile) -> dict[str, dict[str, int]]:
     Each FEATS string ``K1=V1|K2=V2`` with count c adds c to every
     (Ki, Vi) cell, so per-category sums are preserved. The pairs are
     those ``parse_feats`` keeps: a malformed entry (no ``=``, or an empty
-    key) is skipped, and warned about when its string is first split.
+    key) is skipped without a word; ``warn_malformed_feats`` reports it.
     """
     categories: dict[str, dict[str, int]] = {}
     for feats, count in profile.morph.items():
-        for key, value in parse_feats(feats):
+        for key, value in parse_feats(feats)[0]:
             values = categories.get(key)
             if values is None:
                 categories[key] = {value: count}
             else:
                 values[value] = values.get(value, 0) + count
     return categories
+
+
+def warn_malformed_feats(profiles: Iterable[Profile]) -> None:
+    """Warn about each malformed entry of each distinct FEATS string, once, in string order."""
+    for feats in sorted(set().union(*(profile.morph for profile in profiles))):
+        for item in parse_feats(feats)[1]:
+            logger.warning("skipping malformed FEATS entry %r in %r", item, feats)
 
 
 def build_vectors(counts_a: Mapping[str, int], counts_b: Mapping[str, int]
@@ -236,6 +244,8 @@ class ProfileStore:
                     f"profile store line {line_number}: bad record: word_id and period "
                     f"must be strings, morph and synt objects of integer counts and "
                     f"total an integer")
+            check_word_id(word_id, lambda message: DataError(
+                f"profile store line {line_number}: {message}"))
             if period not in known_periods:
                 raise DataError(f"profile store line {line_number}: period {period!r} "
                                 f"is not one of the header's periods {periods}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .profiles import Profile, build_vectors, separate_categories
+from .profiles import Profile, build_vectors, separate_categories, warn_malformed_feats
 
 FEATURE_KINDS = ("morphology", "syntax", "average", "combination")
 AGGREGATIONS = ("max", "mean")
@@ -202,7 +202,8 @@ def score_period_pair(profiles: Mapping[tuple[str, str], Profile],
     word_id -> ChangeScore, in word_id order.
 
     A period in which no word occurs raises DataError: every word would
-    get the zero-profile distance, a ranking that says nothing."""
+    get the zero-profile distance, a ranking that says nothing. A
+    separating ``config`` first reports malformed FEATS entries."""
     period_a, period_b = pair
     pairs = {}
     for word_id in sorted({word_id for word_id, _ in profiles}):
@@ -214,5 +215,7 @@ def score_period_pair(profiles: Mapping[tuple[str, str], Profile],
         if not any(profile.total for profile in period_profiles):
             raise DataError(f"period {period!r}: no target word occurs in it, so the "
                             f"pair {period_a!r}-{period_b!r} cannot be scored")
+    if config.separation and config.feature_kind != "syntax":
+        warn_malformed_feats(profile for both in pairs.values() for profile in both)
     return {word_id: score_word_pair(profile_a, profile_b, config)
             for word_id, (profile_a, profile_b) in pairs.items()}

@@ -4,6 +4,7 @@ score rankings and binary labels, and the value rules they share."""
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, TypeVar
 
 from .errors import GramprofError, reading
@@ -19,11 +20,11 @@ def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
     Blank lines (empty, or only whitespace) and ``#`` comments are
     skipped. The key is the first column without surrounding whitespace.
     A line with fewer than ``min_columns`` or more than ``max_columns``
-    columns, a line whose columns ``parse`` rejects (ValueError or
-    GramprofError), a repeated key and a file without records raise
-    ``error`` naming the file and line; ``layout`` describes a valid
-    line in the message. The file is read through ``errors.reading``,
-    which names it as ``what``.
+    columns, a key that is not a word id, a line whose columns ``parse``
+    rejects (ValueError or GramprofError), a repeated key and a file
+    without records raise ``error`` naming the file and line; ``layout``
+    describes a valid line in the message. The file is read through
+    ``errors.reading``, which names it as ``what``.
     """
     records: dict[str, T] = {}
     with reading(path, what, error) as f:
@@ -36,10 +37,10 @@ def read_tsv(path, what: str, parse: Callable[[list[str]], T], layout: str,
             if not min_columns <= len(columns) <= max_columns:
                 raise error(f"{where}: expected {layout}, got {len(columns)} columns")
             try:
+                word_id = check_word_id(columns[0].strip())
                 value = parse(columns)
             except (ValueError, GramprofError) as exc:
                 raise error(f"{where}: {exc}")
-            word_id = columns[0].strip()
             if word_id in records:
                 raise error(f"{where}: duplicate word {word_id!r}")
             records[word_id] = value
@@ -55,9 +56,19 @@ def zero_or_one(text: str, what: str) -> int:
     return int(text)
 
 
+def check_word_id(text: str, error: Callable[[str], Exception] = ValueError) -> str:
+    """``text`` if it is a word id: non-empty, no surrounding whitespace, tab, CR or LF."""
+    if not text or text != text.strip() or "\t" in text or "\r" in text or "\n" in text:
+        raise error(f"word id {text!r} is empty or has surrounding whitespace, tab, CR or LF")
+    return text
+
+
 def finite(text: str, what: str) -> float:
-    """A finite number; ValueError names ``what``."""
+    """A finite number written as a decimal literal; ValueError names ``what``."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{what} {text!r} is not finite")
+    # [sign] ASCII digits [fraction] [exponent]; float() also reads 1_0, " 2 " and "١"
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
+        raise ValueError(f"{what} {text!r} is not a decimal literal")
     return value

@@ -197,20 +197,28 @@ def separate_categories_oracle(morph):
     """Per-category value counts of a combined-FEATS table: each
     ``K=V`` entry of a FEATS string adds the string's count to cell
     (K, V). ``_`` and the empty string hold no entry; an entry without
-    ``=`` or with an empty key is dropped. Returns (categories, number
-    of entries dropped)."""
-    categories, dropped = {}, 0
+    ``=`` or with an empty key is dropped. Returns (categories, the
+    dropped entries in order)."""
+    categories, dropped = {}, []
     for feats, count in morph.items():
         if feats in ("_", ""):
             continue
         for item in feats.split("|"):
             if "=" not in item or item.startswith("="):
-                dropped += 1
+                dropped.append(item)
                 continue
             key, value = item.split("=", 1)
             cell = categories.setdefault(key, {})
             cell[value] = cell.get(value, 0) + count
     return categories, dropped
+
+
+def malformed_feats_warnings_oracle(profiles):
+    """The FEATS warnings of one report on ``profiles``: for each distinct
+    FEATS string, in sorted order, one line per entry it drops."""
+    strings = sorted({feats for profile in profiles for feats in profile.morph})
+    return [f"skipping malformed FEATS entry {item!r} in {feats!r}"
+            for feats in strings for item in separate_categories_oracle({feats: 1})[1]]
 
 
 def student_t_two_tailed_oracle(t, df):

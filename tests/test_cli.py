@@ -17,11 +17,11 @@ import gramprof
 from gramprof import cli
 from gramprof.analysis import LOGREG_L2_INVERSE_STRENGTH
 from gramprof.cli import main
-from gramprof.conllu import parse_feats
 from gramprof.decision import classify_changepoint, rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
 import synth
+from oracles import malformed_feats_warnings_oracle
 
 OLD_CORPUS = """\
 # period one
@@ -451,6 +451,15 @@ def test_version_flag(capsys):
         run(["--version"])
     assert err.value.code == 0
     assert "gramprof" in capsys.readouterr().out
+
+
+def test_verbose_flag_takes_effect_on_every_call_in_one_process(dataset, caplog):
+    argv = ["extract", "-c", dataset / "dataset.yml", "-o", dataset / "store.jsonl"]
+    for verbose in (["-v"], [], ["-v"], []):  # ends plain: the root level is WARNING again
+        caplog.clear()
+        assert run([*verbose, *argv]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "INFO"] == \
+            [f"wrote 6 profiles to {dataset / 'store.jsonl'}"] * len(verbose)
 
 
 def test_seed_flag_accepted(dataset, capsys):
@@ -979,10 +988,8 @@ def write_store_and_gold(store, gold, words, directory):
 
 
 def outcome(argv, capsys, caplog):
-    """Exit code, stdout, stderr and logged records of an in-process call
-    that starts, as a shell run does, with a cold parse_feats cache; the
-    records are what a shell run prints on stderr before its error."""
-    parse_feats.cache_clear()
+    """Exit code, stdout, stderr and logged records of an in-process call;
+    the records are what a shell run prints on stderr before its error."""
     capsys.readouterr()
     caplog.clear()
     code = run(argv)
@@ -1029,6 +1036,32 @@ def test_analyze_subset_suffix_that_matches_no_word_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert run(["analyze", *paths, "--report", "correlation", "--subset-suffix", "_xx"]) == 1
     assert capsys.readouterr().err == "error: no words match suffix '_xx'\n"
+
+
+@pytest.mark.parametrize("argv, code, reports", [
+    (["score", "{store}", "--features", "combination", "--separate"], 0, "store"),
+    (["score", "{store}", "--features", "average", "--separate"], 0, "store"),
+    (["analyze", "{store}", "{gold}", "--report", "correlation"], 0, "store"),
+    (["timeline", "{store}", "{word}", "Case"], 0, "word"),
+    (["timeline", "{store}", "{word}", "Nope"], 1, "word"),
+    (["score", "{store}", "--features", "syntax", "--separate"], 0, None),
+    (["score", "{store}"], 0, None),
+], ids=["combination", "average", "analyze", "timeline", "timeline-unknown-category",
+        "syntax-separate", "morphology"])
+def test_repeated_calls_print_the_same_feats_warnings(tmp_path, capsys, caplog, argv, code,
+                                                      reports):
+    store = synth.random_store(random.Random(10), 80, ["c1", "c2"])
+    gold = {w: (i % 2, i / 80) for i, w in enumerate(store.word_ids)}
+    paths = write_store_and_gold(store, gold, store.word_ids, tmp_path / "d")
+    profiles = {w: [store.profiles[(w, period)] for period in store.periods] for w in gold}
+    word = next(w for w in gold if malformed_feats_warnings_oracle(profiles[w]))
+    reported = {"store": store.profiles.values(), "word": profiles[word], None: []}[reports]
+    expected = [("WARNING", line) for line in malformed_feats_warnings_oracle(reported)]
+    argv = [a.format(store=paths[0], gold=paths[1], word=word) for a in argv]
+    for _ in range(2):
+        returned, _, _, logged = outcome(argv, capsys, caplog)
+        assert returned == code
+        assert [r for r in logged if "FEATS" in r[1]] == expected
 
 
 def tsv_of_json_lines(lines, tables):
@@ -1198,7 +1231,8 @@ def with_first_label_2(text):
     ("gold.tsv", lambda text: text + "w\t2\t0.5\n", EVALUATE_GRADED, 1,
      "{file}: line {last}: "),
     ("targets.tsv", lambda text: text + "\tlass\n", EXTRACT, 2,
-     "{file}: line {last}: target with empty word_id"),
+     "{file}: line {last}: word id '' is empty or has surrounding whitespace, "
+     "tab, CR or LF"),
     ("targets.tsv", lambda text: COMMENTS_ONLY, EXTRACT, 2,
      "{file}: no word_id<TAB>lemma[<TAB>upos1,upos2] lines found"),
     ("gold.tsv", lambda text: COMMENTS_ONLY, EVALUATE_GRADED, 1,
@@ -1222,13 +1256,27 @@ def with_first_label_2(text):
      "{file}: line {last}: binary label '+1' is not 0 or 1"),
     ("targets.tsv", lambda text: text + "lass \tlast\n", EXTRACT, 2,
      "{file}: line {last}: duplicate word 'lass'"),
+    ("scores.tsv", lambda text: text + "w\t1_0\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: line {last}: score '1_0' is not a decimal literal"),
+    ("scores.tsv", lambda text: text + "w\t 2 \n",
+     ["classify", "{d}/scores.tsv", "--changepoint"], 1,
+     "{file}: line {last}: score ' 2 ' is not a decimal literal"),
+    ("scores.tsv", lambda text: text + "w\t\uff11\n",
+     ["evaluate", "{d}/scores.tsv", "{d}/gold.tsv", "--task", "graded"], 1,
+     "{file}: line {last}: score '\uff11' is not a decimal literal"),
+    ("gold.tsv", lambda text: text + "w\t1\t\u0661\n", EVALUATE_GRADED, 1,
+     "{file}: line {last}: graded score '\u0661' is not a decimal literal"),
+    ("scores.tsv", lambda text: text + "\t0.5\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: line {last}: word id '' is empty"),
 ], ids=["empty-lemma", "label-not-0-or-1", "combined-label-not-0-or-1",
         "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
         "empty-word-id", "targets-without-records", "gold-without-records",
         "scores-without-records", "scores-with-whitespace-only-lines",
         "gold-without-binary-labels", "gold-without-graded-scores",
         "analyze-gold-without-binary-labels", "analyze-gold-without-graded-scores",
-        "gold-binary-signed", "analyze-gold-binary-signed", "target-id-repeated-with-space"])
+        "gold-binary-signed", "analyze-gold-binary-signed", "target-id-repeated-with-space",
+        "score-with-underscore", "score-with-spaces", "score-full-width-digit",
+        "gold-arabic-indic-digit", "score-empty-word-id"])
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
                                                   argv, code, message):
     d = demo_copy(tmp_path)

@@ -64,23 +64,22 @@ def test_empty_feats_token():
     sentences = parse_text(SAMPLE)
     det = sentences[1][0]
     assert det[FEATS] == "_"
-    assert parse_feats(det[FEATS]) == ()
-    assert parse_feats("") == ()
+    assert parse_feats(det[FEATS]) == ((), ())
+    assert parse_feats("") == ((), ())
 
 
 def test_parse_feats_pairs():
     assert parse_feats("Mood=Ind|Tense=Past|VerbForm=Fin") == (
-        ("Mood", "Ind"), ("Tense", "Past"), ("VerbForm", "Fin"))
-    assert parse_feats("Foo=a=b|Polite=") == (("Foo", "a=b"), ("Polite", ""))
+        (("Mood", "Ind"), ("Tense", "Past"), ("VerbForm", "Fin")), ())
+    assert parse_feats("Foo=a=b|Polite=") == ((("Foo", "a=b"), ("Polite", "")), ())
 
 
 def test_parse_feats_skips_malformed_entry(caplog):
-    with caplog.at_level("WARNING", logger="gramprof.conllu"):
-        assert parse_feats("Number=Sing|Oops|=x||Case=Dat") == (
-            ("Number", "Sing"), ("Case", "Dat"))
-    assert [r.getMessage() for r in caplog.records] == [
-        f"skipping malformed FEATS entry {item!r} in 'Number=Sing|Oops|=x||Case=Dat'"
-        for item in ("Oops", "=x", "")]
+    with caplog.at_level("DEBUG"):
+        for _ in range(2):
+            assert parse_feats("Number=Sing|Oops|=x||Case=Dat|_") == (
+                (("Number", "Sing"), ("Case", "Dat")), ("Oops", "=x", "", "_"))
+    assert caplog.records == []
 
 
 def test_multiword_ranges_and_empty_nodes_skipped():
@@ -265,6 +264,12 @@ def test_duplicate_word_id_rejected():
 def test_empty_lemma_rejected():
     with pytest.raises(ConfigError):
         TargetSpec("a", "")
+
+
+@pytest.mark.parametrize("word_id", ["", " a", "a\u00a0", "a\tb", "a\nb", "a\rb"])
+def test_word_id_is_one_tsv_cell(word_id):
+    with pytest.raises(ConfigError, match="^word id .* is empty or has surrounding whitespace"):
+        TargetSpec(word_id, "a")
 
 
 def test_pos_filter_without_a_tag_rejected():

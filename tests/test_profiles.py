@@ -9,12 +9,11 @@ import pytest
 
 from gramprof import profiles as profiles_module
 from gramprof.cli import main
-from gramprof.conllu import (DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus,
-                             parse_conllu, parse_feats)
+from gramprof.conllu import DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus, parse_conllu
 from gramprof.errors import ConfigError, DataError
-from gramprof.profiles import (Profile, ProfileStore, build_vectors,
-                               extract_profiles, separate_categories)
-from oracles import extract_oracle, separate_categories_oracle
+from gramprof.profiles import (Profile, ProfileStore, build_vectors, extract_profiles,
+                               separate_categories, warn_malformed_feats)
+from oracles import extract_oracle, malformed_feats_warnings_oracle, separate_categories_oracle
 from synth import ODD_FEATS, random_store
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -325,19 +324,14 @@ FEATS_POOL = ["Number=Sing", "Case=Nom|Number=Plur", "Case=Nom|Case=Acc",
               "Broken"]
 
 
-def separates_like_the_oracle(profiles, seen, caplog):
+def separates_like_the_oracle(profiles, caplog):
     """Check separate_categories against the oracle on each profile in
-    turn, and that it warns once per malformed entry of each FEATS
-    string not in ``seen``, the strings split since the parse_feats
-    cache was last cleared; ``seen`` is updated."""
-    for profile in profiles:
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="gramprof.conllu"):
-            separated = separate_categories(profile)
-        assert separated == separate_categories_oracle(profile.morph)[0]
-        new = set(profile.morph) - seen
-        assert len(caplog.records) == separate_categories_oracle(dict.fromkeys(new, 1))[1]
-        seen |= new
+    turn, and that it logs nothing."""
+    caplog.clear()
+    with caplog.at_level("DEBUG"):
+        for profile in profiles:
+            assert separate_categories(profile) == separate_categories_oracle(profile.morph)[0]
+    assert caplog.records == []
 
 
 def test_separate_categories_matches_oracle_in_any_call_order(caplog):
@@ -348,27 +342,30 @@ def test_separate_categories_matches_oracle_in_any_call_order(caplog):
                  for feats in rng.sample(FEATS_POOL, rng.randrange(0, 6))}
         total = sum(morph.values()) + rng.randrange(0, 5)
         profiles.append(Profile(morph, {"root": total}, total))
-    seen = set()
+    assert {feats for p in profiles for feats in p.morph} == set(FEATS_POOL)
     for _ in range(4):
         rng.shuffle(profiles)
-        separates_like_the_oracle(profiles, seen, caplog)
-    assert seen == set(FEATS_POOL)
+        separates_like_the_oracle(profiles, caplog)
 
 
-def test_malformed_feats_warns_once_per_string_until_the_cache_is_cleared(caplog):
+def warnings_of(profiles, caplog):
+    caplog.clear()
+    with caplog.at_level("DEBUG"):
+        warn_malformed_feats(profiles)
+    return [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def test_each_report_warns_once_per_malformed_entry_of_each_distinct_string(caplog):
     first = Profile({"Number=Sing|Oops": 2, "Case=Nom": 1}, {"root": 3}, 3)
-    second = Profile({"Number=Sing|Oops": 5, "Oops": 1}, {"root": 6}, 6)
-    warning = "skipping malformed FEATS entry 'Oops' in {!r}"
-    for _ in range(2):
-        parse_feats.cache_clear()
-        for call in range(3):
-            for profile, new in ((first, "Number=Sing|Oops"), (second, "Oops")):
-                caplog.clear()
-                with caplog.at_level("WARNING", logger="gramprof.conllu"):
-                    separated = separate_categories(profile)
-                assert [r.getMessage() for r in caplog.records] == \
-                    ([warning.format(new)] if call == 0 else [])
-                assert separated["Number"] == {"Sing": profile.morph["Number=Sing|Oops"]}
+    second = Profile({"Number=Sing|Oops": 5, "Oops": 1, "=x||Case=Dat": 1}, {"root": 7}, 7)
+    expected = [("WARNING", f"skipping malformed FEATS entry {item!r} in {feats!r}")
+                for feats, item in [("=x||Case=Dat", "=x"), ("=x||Case=Dat", ""),
+                                    ("Number=Sing|Oops", "Oops"), ("Oops", "Oops")]]
+    for _ in range(3):
+        assert warnings_of([second, first, second], caplog) == expected
+    assert warnings_of([first], caplog) == expected[2:3]
+    assert warnings_of([first, Profile()], caplog) == expected[2:3]
+    assert warnings_of([], caplog) == []
 
 
 def test_count_preservation_random():
@@ -492,9 +489,16 @@ def replace_in_line(number, old, new):
      + [line for line in lines[1:] if '"period": "old"' in line],
      r"^profile store header lists periods \['old'\]; a store needs at least two$"),
     (lambda lines: lines[:1], "^profile store has a header but no record$"),
+    (replace_in_line(2, '"word_id": "lass"', '"word_id": "la\\tss"'),
+     r"^profile store line 2: word id 'la\\tss' is empty or has surrounding whitespace, "),
+    (replace_in_line(3, '"word_id": "lass"', '"word_id": "lass "'),
+     "^profile store line 3: word id 'lass ' is empty or has surrounding whitespace, "),
+    (replace_in_line(4, '"word_id": "stab"', '"word_id": ""'),
+     "^profile store line 4: word id '' is empty or has surrounding whitespace, "),
 ], ids=["unknown-period", "grid-gap", "period-not-string", "header-not-object",
         "options-not-object", "synt-sum-not-total", "zero-count", "morph-exceeds-total",
-        "empty", "header-not-json", "version-2", "no-word-id", "one-period", "header-only"])
+        "empty", "header-not-json", "version-2", "no-word-id", "one-period", "header-only",
+        "word-id-with-tab", "word-id-with-space", "empty-word-id"])
 def test_store_rejects_bad_header_and_grid(edit, message):
     buffer = io.StringIO()
     make_store().save(buffer)
@@ -657,16 +661,15 @@ def test_loaded_tables_share_one_object_per_distinct_key():
         assert len({id(key) for key in keys}) == len(set(keys))
 
 
-def test_separation_matches_oracle_with_a_cold_warm_and_cleared_cache(caplog):
+def test_separation_is_silent_and_each_report_matches_the_oracle(caplog):
     store = random_store(random.Random(10), 80, ["c1", "c2"])
     profiles = list(store.profiles.values())
     assert set(ODD_FEATS) <= {feats for p in profiles for feats in p.morph}
-    seen = set()
-    separates_like_the_oracle(profiles, seen, caplog)  # cold
-    separates_like_the_oracle(profiles, seen, caplog)  # warm: no warning
+    expected = malformed_feats_warnings_oracle(profiles)
+    assert len(expected) == len(set(expected)) > 0
+    for _ in range(2):
+        separates_like_the_oracle(profiles, caplog)
+        assert warnings_of(profiles, caplog) == [("WARNING", line) for line in expected]
     middle = len(profiles) // 2
-    separates_like_the_oracle(profiles[:middle], seen, caplog)
-    parse_feats.cache_clear()
-    seen = set()
-    separates_like_the_oracle(profiles[middle:], seen, caplog)
-    separates_like_the_oracle(profiles[:middle], seen, caplog)
+    assert [message for _, message in warnings_of(profiles[middle:], caplog)] == \
+        malformed_feats_warnings_oracle(profiles[middle:])
