@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigError, DataError
 from .evaluation import accuracy, average_ranks, check_same_words, macro_f1, rank_correlation
@@ -39,20 +39,17 @@ LOGREG_TOLERANCE = 1e-8
 LOGREG_MAX_ITERATIONS = 100000
 
 
-@dataclass
-class FeatureMatrix:
+class FeatureMatrix(namedtuple("FeatureMatrix", "word_ids columns values missing")):
     """Per-word, per-category cosine distances.
 
     ``values[i, j]`` is the distance of word ``word_ids[i]`` for
     category ``columns[j]``; the last column is the syntactic distance.
     ``missing[i, j]`` marks cells where the word expresses the category
-    in neither period (the value there is 0).
+    in neither period (the value there is 0). ``values`` and ``missing``
+    are numpy arrays.
     """
 
-    word_ids: list[str]
-    columns: list[str]
-    values: np.ndarray
-    missing: np.ndarray
+    __slots__ = ()
 
 
 def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
@@ -69,8 +66,9 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
     """
     import numpy as np
     period_a, period_b = pair
-    scores = score_period_pair(profiles, pair, replace(
-        config, feature_kind="combination", separation=True))
+    # Through the class, not _replace, so that the fields are checked.
+    scores = score_period_pair(profiles, pair, MethodConfig(
+        **{**config._asdict(), "feature_kind": "combination", "separation": True}))
     per_word: dict[str, dict[str, float]] = {}
     for word_id, score in scores.items():
         if SYNTAX_COLUMN in score.per_category:
@@ -116,15 +114,9 @@ def standardize(matrix: FeatureMatrix) -> tuple[FeatureMatrix, list[str]]:
     return out, constant
 
 
-@dataclass
-class LogregResult:
-    columns: list[str]
-    coefficients: np.ndarray
-    intercept: float
-    train_accuracy: float
-    train_macro_f1: float
-    iterations: int
-    converged: bool
+class LogregResult(namedtuple("LogregResult", "columns coefficients intercept train_accuracy "
+                                              "train_macro_f1 iterations converged")):
+    __slots__ = ()
 
     @property
     def positive_categories(self) -> list[str]:
@@ -203,13 +195,8 @@ def train_logreg(matrix: FeatureMatrix, labels: Mapping[str, int],
     )
 
 
-@dataclass
-class CategoryCorrelation:
-    rho: Optional[float]
-    p_value: Optional[float]
-    significant: bool
-    n: int
-    note: str = ""
+CategoryCorrelation = namedtuple("CategoryCorrelation", "rho p_value significant n note",
+                                 defaults=("",))
 
 
 def spearman_p_value(rho: float, n: int) -> float:
@@ -293,12 +280,7 @@ def category_correlations(matrix: FeatureMatrix, gold_graded: Mapping[str, float
     return results
 
 
-@dataclass
-class TimelineRow:
-    period: str
-    value: str
-    count: int
-    proportion: float
+TimelineRow = namedtuple("TimelineRow", "period value count proportion")
 
 
 def timeline(profiles_by_period: Mapping[str, Profile], category: str

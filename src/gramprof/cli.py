@@ -10,13 +10,10 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
 from . import __version__
@@ -37,16 +34,14 @@ logger = logging.getLogger(__name__)
 _METHOD_DEFAULTS = MethodConfig()
 
 
-@dataclass
-class DatasetSpec:
-    """A dataset description: corpora per period, the target list and
-    optional gold data. Which two periods are compared is chosen when
-    scoring (``_resolve_pair``), not here."""
+class DatasetSpec(namedtuple("DatasetSpec", "name periods targets_path gold_path",
+                             defaults=(None,))):
+    """A dataset description: corpora per period (label -> corpus paths,
+    in config order), the target list and optional gold data. Which two
+    periods are compared is chosen when scoring (``_resolve_pair``), not
+    here."""
 
-    name: str
-    periods: dict[str, list[str]]  # label -> corpus paths, in config order
-    targets_path: str
-    gold_path: Optional[str] = None
+    __slots__ = ()
 
 
 def load_dataset_spec(path) -> DatasetSpec:
@@ -54,6 +49,7 @@ def load_dataset_spec(path) -> DatasetSpec:
     resolved against the file's directory. A dataset has at least two
     periods with distinct labels, and a corpus file may appear only once
     in it."""
+    from pathlib import Path
     import yaml
     path = Path(path)
     with reading(path, "config", ConfigError) as f:
@@ -172,14 +168,15 @@ def _resolve_pair(store: ProfileStore, pair: Optional[list[str]]) -> tuple[str, 
 def _method_config(args) -> MethodConfig:
     """MethodConfig from the method flags the command has; the fields
     it has no flag for keep their defaults."""
-    return MethodConfig(**{f.name: getattr(args, f.name)
-                           for f in fields(MethodConfig) if hasattr(args, f.name)})
+    return MethodConfig(**{name: getattr(args, name)
+                           for name in MethodConfig._fields if hasattr(args, name)})
 
 
 def _emit_report(rows: list[dict], stream: TextIO, output_format: str,
                  column_order: list[str]) -> None:
     """Write report rows as an aligned text table, TSV, or JSON lines."""
     if output_format == "json-lines":
+        import json
         for row in rows:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
         return
@@ -390,6 +387,7 @@ def cmd_timeline(args) -> int:
     profiles_by_period = {period: store.profiles[(args.word, period)]
                           for period in store.periods}
     rows = timeline(profiles_by_period, args.category)
+    import csv
     with _output(args.output) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["period", "value", "count", "proportion"])

@@ -11,10 +11,9 @@ the member tokens.
 from __future__ import annotations
 
 import functools
-import gzip
 import io
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import IO, Iterable, Iterator, Optional
 
 from .errors import INPUT_ENCODING, ConfigError, ConlluParseError
@@ -27,16 +26,14 @@ N_COLUMNS = 10
 FORM, LEMMA, UPOS, FEATS, DEPREL = 1, 2, 3, 5, 7
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(namedtuple("TargetSpec", "word_id lemma upos_filter", defaults=(None,))):
     """One target word: the identifier used in task files plus the
-    lemma to look for and an optional part-of-speech restriction."""
+    lemma to look for and an optional part-of-speech restriction
+    (``upos_filter``, a frozenset of tags, or None)."""
 
-    word_id: str
-    lemma: str
-    upos_filter: Optional[frozenset[str]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         check_word_id(self.word_id, ConfigError)
         if not self.lemma:
             raise ConfigError(f"target {self.word_id!r} has an empty lemma")
@@ -116,6 +113,7 @@ def open_corpus(path) -> IO[str]:
     ``.gz`` files."""
     path = str(path)
     if path.endswith(".gz"):
+        import gzip
         return gzip.open(path, "rt", encoding=INPUT_ENCODING)
     return open(path, "r", encoding=INPUT_ENCODING)
 

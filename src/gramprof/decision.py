@@ -8,7 +8,6 @@ within-segment squared deviation from the segment means.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import DataError
@@ -49,6 +48,7 @@ def classify_changepoint(ranking: Ranking) -> dict[str, int]:
     if len(ranking) < 3:
         raise DataError("change-point classification needs at least 3 words; "
                         "use top-n classification instead")
+    from fractions import Fraction
     scores = [Fraction(score) for _, score in ranking]
     n = len(scores)
     total = sum(scores)

@@ -9,7 +9,7 @@ broken answer file and intersecting would inflate scores.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError
@@ -18,14 +18,12 @@ from .tsv import finite, read_tsv, zero_or_one
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GoldRecord:
+class GoldRecord(namedtuple("GoldRecord", "binary graded", defaults=(None, None))):
     """One word's gold values; ``load_gold`` keys it by the word id."""
 
-    binary: Optional[int] = None
-    graded: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.binary is None and self.graded is None:
             raise DataError("gold record has neither a binary label nor a graded score")
 

@@ -12,10 +12,8 @@ different method settings.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from .conllu import DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus, parse_conllu, \
     parse_feats, strip_deprel_subtype
@@ -28,14 +26,22 @@ STORE_FORMAT = "grammatical-profile-store"
 STORE_VERSION = 1
 
 
-@dataclass
 class Profile:
     """One word's counts in one period; its key in a profile mapping is
     (word_id, period)."""
 
-    morph: dict[str, int] = field(default_factory=dict)
-    synt: dict[str, int] = field(default_factory=dict)
-    total: int = 0
+    __slots__ = ("morph", "synt", "total")
+
+    def __init__(self, morph: Optional[dict[str, int]] = None,
+                 synt: Optional[dict[str, int]] = None, total: int = 0):
+        self.morph = {} if morph is None else morph
+        self.synt = {} if synt is None else synt
+        self.total = total
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.morph, self.synt, self.total) == (other.morph, other.synt, other.total)
 
     def add_token(self, feats: str, deprel: str) -> None:
         self.total += 1
@@ -158,14 +164,23 @@ def _iter_source(source, period: str, strict: bool):
         yield from parse_conllu(f, strict=strict)
 
 
-@dataclass
 class ProfileStore:
     """All profiles of one dataset plus the period order they were
     extracted with."""
 
-    periods: list[str]
-    profiles: dict[tuple[str, str], Profile]
-    options: dict = field(default_factory=dict)
+    __slots__ = ("periods", "profiles", "options")
+
+    def __init__(self, periods: list[str], profiles: dict[tuple[str, str], Profile],
+                 options: Optional[dict] = None):
+        self.periods = periods
+        self.profiles = profiles
+        self.options = {} if options is None else options
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.periods, self.profiles, self.options)
+                == (other.periods, other.profiles, other.options))
 
     @property
     def word_ids(self) -> list[str]:
@@ -174,13 +189,19 @@ class ProfileStore:
     def save(self, stream: TextIO) -> None:
         """Write the store as JSON lines: a version header followed by
         one record per (word_id, period) key. A key whose period is not
-        in ``periods`` raises DataError, since ``load`` would reject it."""
+        in ``periods``, or whose word id is not one, raises DataError before
+        anything is written, since ``load`` would reject it."""
+        import json
         order = {label: i for i, label in enumerate(self.periods)}
         try:
             keys = sorted(self.profiles, key=lambda k: (k[0], order[k[1]]))
         except KeyError:
             key = next(k for k in self.profiles if k[1] not in order)
             raise DataError(f"profile key {key!r}: period not in {self.periods!r}") from None
+        for key in keys:
+            if type(key[0]) is not str:
+                raise DataError(f"profile key {key!r}: word id is not a string")
+            check_word_id(key[0], lambda message: DataError(f"profile key {key!r}: {message}"))
         header = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -201,6 +222,7 @@ class ProfileStore:
 
     @classmethod
     def load(cls, stream: TextIO) -> "ProfileStore":
+        import json
         header_line = stream.readline()
         if not header_line.strip():
             raise DataError("profile store is empty")
@@ -302,6 +324,7 @@ def _decode_batch(batch: list[tuple[int, str]]) -> Iterator[tuple[int, object]]:
     # Besides JSONDecodeError (a ValueError), json.loads raises ValueError
     # on an integer of more than sys.get_int_max_str_digits() digits and
     # RecursionError on too deep a nesting.
+    import json
     try:
         values = json.loads("[" + ",0,".join([line for _, line in batch]) + "]")
     except (ValueError, RecursionError):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
@@ -23,8 +22,10 @@ FEATURE_KINDS = ("morphology", "syntax", "average", "combination")
 AGGREGATIONS = ("max", "mean")
 
 
-@dataclass(frozen=True)
-class MethodConfig:
+class MethodConfig(namedtuple(
+        "MethodConfig", "feature_kind separation aggregation filter_threshold "
+        "zero_profile_distance per_period_filter",
+        defaults=("morphology", False, "max", 0.05, 1.0, False))):
     """Scoring method descriptor.
 
     ``filter_threshold`` removes features rarer than that share of the
@@ -32,16 +33,12 @@ class MethodConfig:
     assigned when a word's profile is empty in exactly one of the two
     periods (appearance or disappearance). ``per_period_filter``
     switches the filter denominator from summed to per-period totals.
+    Construction checks the fields; ``_replace`` and ``_make`` do not.
     """
 
-    feature_kind: str = "morphology"
-    separation: bool = False
-    aggregation: str = "max"
-    filter_threshold: float = 0.05
-    zero_profile_distance: float = 1.0
-    per_period_filter: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.feature_kind not in FEATURE_KINDS:
             raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
         if self.aggregation not in AGGREGATIONS:
@@ -54,12 +51,17 @@ class MethodConfig:
             raise ConfigError("the combination method requires category separation")
 
 
-@dataclass
-class ChangeScore:
-    aggregate: float
-    d_morph: Optional[float] = None
-    d_synt: Optional[float] = None
-    per_category: dict[str, float] = field(default_factory=dict)
+class ChangeScore(namedtuple("ChangeScore", "aggregate d_morph d_synt per_category")):
+    """One word's change score: the aggregate, the morphological and
+    syntactic distances (None when not computed) and the per-category
+    distances ({} without separation)."""
+
+    __slots__ = ()
+
+    def __new__(cls, aggregate: float, d_morph: Optional[float] = None,
+                d_synt: Optional[float] = None, per_category: Optional[dict] = None):
+        return tuple.__new__(cls, (aggregate, d_morph, d_synt,
+                                   {} if per_category is None else per_category))
 
 
 def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
@@ -92,6 +94,7 @@ def _decimal_ratio(share: float) -> tuple[int, int]:
     """A share (a filter threshold, a top-n ratio) as the decimal it was
     written as: 0.07 gives (7, 100), not the binary float just above
     7/100."""
+    from fractions import Fraction
     return Fraction(str(share)).as_integer_ratio()
 
 

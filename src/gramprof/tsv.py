@@ -65,10 +65,12 @@ def check_word_id(text: str, error: Callable[[str], Exception] = ValueError) -> 
 
 def finite(text: str, what: str) -> float:
     """A finite number written as a decimal literal; ValueError names ``what``."""
+    # [sign] ASCII digits [fraction] [exponent], or [sign] nan, inf or infinity in
+    # any case, which are not finite; float() also reads 1_0, " 2 " and "١"
+    if not re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                        r"|(?i:nan|inf|infinity))", text):
+        raise ValueError(f"{what} {text!r} is not a decimal literal")
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{what} {text!r} is not finite")
-    # [sign] ASCII digits [fraction] [exponent]; float() also reads 1_0, " 2 " and "١"
-    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
-        raise ValueError(f"{what} {text!r} is not a decimal literal")
     return value

@@ -688,53 +688,91 @@ def python_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-# Imports gramprof in a fresh interpreter, runs the CLI command given as
-# arguments (if any) and prints the numpy, scipy and yaml modules then loaded.
+# In a fresh interpreter: imports gramprof; with "cli" or "run" also
+# gramprof.cli, and with "run" runs the CLI command given by the other
+# arguments. Prints the modules loaded since before "import gramprof", then
+# those loaded before it, so that what the interpreter's start-up (a site
+# hook, say) already loaded neither passes nor fails a row.
 MODULES_PROBE = """\
-import contextlib, io, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 import gramprof
-if len(sys.argv) > 1:
+mode, argv = sys.argv[1], sys.argv[2:]
+if mode != "import":
     from gramprof.cli import main
+if mode == "run":
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(sys.argv[1:])
+        code = main(argv)
     if code != 0:
         sys.exit(f"exit {code}")
-print(" ".join(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy", "yaml")))
+print(" ".join(m for m in sys.modules if m not in before))
+print(" ".join(before))
 """
 
+WATCHED = ["numpy", "scipy", "yaml", "dataclasses", "fractions", "decimal", "gzip", "json",
+           "csv", "pathlib"]
 
-NONE = ["numpy", "scipy", "yaml"]
+
+def loads_only(*needed):
+    """A row's needed modules, and as the absent ones every other watched module."""
+    return list(needed), [m for m in WATCHED if m not in needed]
+
+
+@pytest.fixture(scope="module")
+def gz_data(tmp_path_factory):
+    """The demo dataset with its old corpus gzipped."""
+    d = demo_copy(tmp_path_factory.mktemp("gz"))
+    (d / "old.conllu.gz").write_bytes(gzip.compress((d / "old.conllu").read_bytes()))
+    yml = (d / "dataset.yml").read_text(encoding="utf-8")
+    (d / "dataset.yml").write_text(yml.replace("[old.conllu]", "[old.conllu.gz]"),
+                                   encoding="utf-8")
+    return d
+
+
+RUN = ["run"]
+EXTRACT_LOADS = ["yaml", "json", "pathlib"]
+STORE_LOADS = ["json", "fractions", "decimal"]
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
-    pytest.param([], [], NONE, id="import"),
-    pytest.param(["extract", "-c", "{data}/dataset.yml", "-o", "{d}/again.jsonl"], ["yaml"],
-                 ["numpy", "scipy"], id="extract"),
-    pytest.param(["score", "{store}", "--features", "combination", "--separate"], [],
-                 NONE, id="score"),
-    pytest.param(["classify", "{scores}", "--changepoint"], [], NONE, id="classify"),
-    pytest.param(["timeline", "{store}", "lass", "Number"], [], NONE, id="timeline"),
-    pytest.param(["rank", "{scores}"], [], NONE, id="rank"),
-    pytest.param(["combine-labels", "{labels}", "{labels}"], [], NONE,
+    pytest.param(["import"], *loads_only(), id="import"),
+    pytest.param(["cli"], *loads_only(), id="import-cli"),
+    pytest.param(RUN + ["extract", "-c", "{data}/dataset.yml", "-o", "{d}/again.jsonl"],
+                 *loads_only(*EXTRACT_LOADS), id="extract"),
+    pytest.param(RUN + ["extract", "-c", "{gz}/dataset.yml", "-o", "{d}/again-gz.jsonl"],
+                 *loads_only(*EXTRACT_LOADS, "gzip"), id="extract-gz"),
+    pytest.param(RUN + ["score", "{store}", "--features", "combination", "--separate"],
+                 *loads_only(*STORE_LOADS), id="score"),
+    pytest.param(RUN + ["classify", "{scores}", "--changepoint"],
+                 *loads_only("fractions", "decimal"), id="classify"),
+    pytest.param(RUN + ["timeline", "{store}", "lass", "Number"], *loads_only("json", "csv"),
+                 id="timeline"),
+    pytest.param(RUN + ["rank", "{scores}"], *loads_only(), id="rank"),
+    pytest.param(RUN + ["combine-labels", "{labels}", "{labels}"], *loads_only(),
                  id="combine-labels"),
-    pytest.param(["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary"], [],
-                 NONE, id="evaluate-binary"),
-    pytest.param(["evaluate", "{scores}", "{data}/gold.tsv", "--task", "graded"],
-                 ["numpy"], ["scipy", "yaml"], id="evaluate"),
-    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
-                 ["numpy"], ["scipy", "yaml"], id="analyze-logreg"),
-    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
-                 ["numpy"], ["scipy.stats", "yaml"], id="analyze"),
-    pytest.param(["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation",
-                  "--exact-p"], ["numpy"], ["scipy", "yaml"], id="analyze-exact-p"),
+    pytest.param(RUN + ["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary"],
+                 *loads_only(), id="evaluate-binary"),
+    pytest.param(RUN + ["evaluate", "{labels}", "{data}/gold.tsv", "--task", "binary",
+                        "--format", "json-lines"], *loads_only("json"), id="evaluate-json-lines"),
+    pytest.param(RUN + ["evaluate", "{scores}", "{data}/gold.tsv", "--task", "graded"],
+                 *loads_only("numpy"), id="evaluate"),
+    pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
+                 *loads_only("numpy", *STORE_LOADS), id="analyze-logreg"),
+    # scipy.special itself loads dataclasses, csv and more; not scipy.stats
+    pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
+                 ["numpy", "scipy.special", *STORE_LOADS], ["scipy.stats", "yaml", "gzip"],
+                 id="analyze"),
+    pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation",
+                        "--exact-p"], *loads_only("numpy", *STORE_LOADS), id="analyze-exact-p"),
 ])
-def test_commands_import_only_what_they_use(demo, argv, needed, absent):
+def test_commands_import_only_what_they_use(demo, gz_data, argv, needed, absent):
     done = subprocess.run([sys.executable, "-c", MODULES_PROBE,
-                           *(arg.format(**demo) for arg in argv)],
+                           *(arg.format(gz=gz_data, **demo) for arg in argv)],
                           env=python_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
-    assert set(needed) <= loaded
+    loaded, preloaded = (set(line.split()) for line in done.stdout.split("\n")[:2])
+    assert set(needed) <= loaded | preloaded
     assert not loaded & set(absent)
 
 
@@ -1268,6 +1306,17 @@ def with_first_label_2(text):
      "{file}: line {last}: graded score '\u0661' is not a decimal literal"),
     ("scores.tsv", lambda text: text + "\t0.5\n", ["rank", "{d}/scores.tsv"], 1,
      "{file}: line {last}: word id '' is empty"),
+    ("scores.tsv", lambda text: text + "a\tabc\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: line {last}: score 'abc' is not a decimal literal"),
+    ("gold.tsv", lambda text: text + "w\t1\tabc\n", EVALUATE_GRADED, 1,
+     "{file}: line {last}: graded score 'abc' is not a decimal literal"),
+    ("scores.tsv", lambda text: text + "a\tnan\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: line {last}: score 'nan' is not finite"),
+    ("scores.tsv", lambda text: text + "a\tinf\n", ["rank", "{d}/scores.tsv"], 1,
+     "{file}: line {last}: score 'inf' is not finite"),
+    ("scores.tsv", lambda text: text + "a\t-Infinity\n",
+     ["classify", "{d}/scores.tsv", "--changepoint"], 1,
+     "{file}: line {last}: score '-Infinity' is not finite"),
 ], ids=["empty-lemma", "label-not-0-or-1", "combined-label-not-0-or-1",
         "empty-pos-filter", "no-gold-value", "binary-not-0-or-1",
         "empty-word-id", "targets-without-records", "gold-without-records",
@@ -1276,7 +1325,8 @@ def with_first_label_2(text):
         "analyze-gold-without-binary-labels", "analyze-gold-without-graded-scores",
         "gold-binary-signed", "analyze-gold-binary-signed", "target-id-repeated-with-space",
         "score-with-underscore", "score-with-spaces", "score-full-width-digit",
-        "gold-arabic-indic-digit", "score-empty-word-id"])
+        "gold-arabic-indic-digit", "score-empty-word-id", "score-not-a-number",
+        "gold-not-a-number", "score-nan", "score-inf", "score-minus-infinity"])
 def test_rejected_record_names_its_file_and_line(demo, tmp_path, capsys, name, edit,
                                                   argv, code, message):
     d = demo_copy(tmp_path)

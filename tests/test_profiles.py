@@ -448,6 +448,31 @@ def test_store_save_rejects_a_key_outside_its_periods():
     assert buffer.getvalue() == ""
 
 
+@pytest.mark.parametrize("word_id", ["x\ty", "", " w", "w\n", "w\r"],
+                         ids=["tab", "empty", "leading-space", "lf", "cr"])
+def test_store_save_rejects_a_key_that_is_not_a_word_id(word_id):
+    """A key ``load`` would reject is refused before anything is written."""
+    store = ProfileStore(periods=["a", "b"], profiles={
+        ("ok", "a"): Profile({}, {"nsubj": 1}, 1), ("ok", "b"): Profile({}, {}, 0),
+        (word_id, "a"): Profile({}, {}, 0), (word_id, "b"): Profile({}, {}, 0)})
+    buffer = io.StringIO()
+    with pytest.raises(DataError) as caught:
+        store.save(buffer)
+    assert str(caught.value) == (
+        f"profile key {(word_id, 'a')!r}: word id {word_id!r} is empty or has "
+        f"surrounding whitespace, tab, CR or LF")
+    assert buffer.getvalue() == ""
+
+
+def test_store_save_rejects_a_word_id_that_is_not_a_string():
+    store = ProfileStore(periods=["a", "b"], profiles={
+        (5, "a"): Profile({}, {}, 0), (5, "b"): Profile({}, {}, 0)})
+    buffer = io.StringIO()
+    with pytest.raises(DataError, match=r"^profile key \(5, 'a'\): word id is not a string$"):
+        store.save(buffer)
+    assert buffer.getvalue() == ""
+
+
 def test_store_rejects_wrong_format():
     with pytest.raises(DataError):
         ProfileStore.load(io.StringIO('{"format": "something-else", "version": 1}\n'))
