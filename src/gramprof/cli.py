@@ -182,18 +182,11 @@ def _emit_report(rows: list[dict], stream: TextIO, output_format: str,
         return
     cells = [[_format_cell(row.get(c)) for c in column_order] for row in rows]
     if output_format == "tsv":
-        stream.write("\t".join(column_order) + "\n")
-        for row_cells in cells:
-            stream.write("\t".join(row_cells) + "\n")
+        stream.writelines("\t".join(row) + "\n" for row in [column_order, *cells])
         return
-    widths = [max(len(column_order[i]),
-                  max((len(c[i]) for c in cells), default=0))
-              for i in range(len(column_order))]
-    stream.write("  ".join(column_order[i].ljust(widths[i])
-                           for i in range(len(column_order))).rstrip() + "\n")
-    for row_cells in cells:
-        stream.write("  ".join(row_cells[i].ljust(widths[i])
-                               for i in range(len(column_order))).rstrip() + "\n")
+    widths = [max(map(len, column)) for column in zip(column_order, *cells)]
+    for row in [column_order, *cells]:
+        stream.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
 
 
 def _format_cell(value) -> str:
@@ -233,6 +226,7 @@ def cmd_extract(args) -> int:
         store.save(stream)
     # The store may be on stdout; the report must not follow it there.
     report = sys.stderr if args.output == "-" else sys.stdout
+    partial = []
     for word_id in store.word_ids:
         totals = [profiles[(word_id, period)].total for period in store.periods]
         counts = "  ".join(f"{period}={total}"
@@ -240,6 +234,12 @@ def cmd_extract(args) -> int:
         print(f"{word_id}: {counts}", file=report)
         if not any(totals):
             logger.warning("target %r matched nothing in any period", word_id)
+        elif not all(totals):
+            partial.append(word_id)
+    if partial:  # counted and named like check_same_words' sides
+        logger.warning("targets matching nothing in some but not all periods: %d (%s%s)",
+                       len(partial), ", ".join(map(repr, partial[:5])),
+                       ", ..." if len(partial) > 5 else "")
     logger.info("wrote %d profiles to %s", len(profiles), args.output)
     return 0
 
@@ -273,10 +273,8 @@ def cmd_classify(args) -> int:
     if not args.changepoint and not 0.0 <= args.ratio <= 1.0:
         raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
     ranking = rank_words(_read_score_tsv(args.ranking))
-    if args.changepoint:
-        labels = classify_changepoint(ranking)
-    else:
-        labels = classify_topn(ranking, args.ratio)
+    labels = (classify_changepoint(ranking) if args.changepoint
+              else classify_topn(ranking, args.ratio))
     with _output(args.output) as stream:
         for word_id, _ in ranking:
             stream.write(f"{word_id}\t{labels[word_id]}\n")

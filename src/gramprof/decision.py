@@ -39,26 +39,25 @@ def classify_changepoint(ranking: Ranking) -> dict[str, int]:
 
     The descending score sequence is treated as a 1-D signal; the
     breakpoint is the single split k in 1..N-1 minimising the summed
-    squared deviation from the segment means. With prefix sums S_k and
-    S = S_N, that cost is sum(x^2) - S_k^2/k - (S - S_k)^2/(N - k), so
-    one pass maximising the last two terms finds it. The sums are exact
-    (every float is a fraction with a power-of-two denominator), so
-    ties are real ties and go to the lowest split index.
+    squared deviation from the segment means. With prefix sums P_k and
+    S = P_N, that is the k maximising (N*P_k - k*S)^2 / (k*(N-k)). Every
+    float is an integer times a power of two, so the scores scaled by
+    the largest such power are exact integers, and gains are compared by
+    cross-multiplying: ties are real ties and go to the lowest split.
     """
     if len(ranking) < 3:
         raise DataError("change-point classification needs at least 3 words; "
                         "use top-n classification instead")
-    from fractions import Fraction
-    scores = [Fraction(score) for _, score in ranking]
-    n = len(scores)
-    total = sum(scores)
-    best_k, best_gain, prefix = 0, None, Fraction(0)
+    ratios = [score.as_integer_ratio() for _, score in ranking]
+    scale = max(den for _, den in ratios)
+    scores = [num * (scale // den) for num, den in ratios]
+    n, total, prefix = len(scores), sum(scores), 0
+    best_k, best_num, best_den = 0, -1, 1
     for k in range(1, n):
         prefix += scores[k - 1]
-        rest = total - prefix
-        gain = prefix * prefix / k + rest * rest / (n - k)
-        if best_gain is None or gain > best_gain:
-            best_k, best_gain = k, gain
+        num, den = (n * prefix - k * total) ** 2, k * (n - k)
+        if num * best_den > best_num * den:
+            best_k, best_num, best_den = k, num, den
     return {word_id: (1 if i < best_k else 0)
             for i, (word_id, _) in enumerate(ranking)}
 

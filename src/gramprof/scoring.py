@@ -91,11 +91,13 @@ def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
 
 @functools.lru_cache(maxsize=64)
 def _decimal_ratio(share: float) -> tuple[int, int]:
-    """A share (a filter threshold, a top-n ratio) as the decimal it was
-    written as: 0.07 gives (7, 100), not the binary float just above
-    7/100."""
-    from fractions import Fraction
-    return Fraction(str(share)).as_integer_ratio()
+    """A share (a filter threshold, a top-n ratio) as the decimal that
+    ``str`` writes, unreduced: 0.07 gives (7, 100), not the binary float
+    just above 7/100 (numpy 2's ``repr`` of it is ``np.float64(0.07)``)."""
+    digits, _, exponent = str(share).partition("e")
+    whole, _, fraction = digits.partition(".")
+    places = len(fraction) - int(exponent or 0)
+    return int(whole + fraction) * 10 ** max(0, -places), 10 ** max(0, places)
 
 
 def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],

@@ -126,6 +126,22 @@ def test_extract_warns_about_unmatched_target(dataset, caplog):
     assert any("ghost" in record.message for record in caplog.records)
 
 
+def test_extract_counts_targets_missing_from_some_periods_and_names_five(dataset, caplog):
+    old = (dataset / "old.conllu").read_text(encoding="utf-8")
+    extra = "".join(f"\n1\tx{i}\tx{i}\tNOUN\t_\tNumber=Sing\t0\troot\t_\t_\n"
+                    for i in range(1, 7))
+    (dataset / "old.conllu").write_text(old + extra, encoding="utf-8")
+    (dataset / "targets.tsv").write_text(
+        TARGETS + "ghost\tghost\n" + "".join(f"x{i}\tx{i}\n" for i in range(1, 7)),
+        encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        extract(dataset)
+    assert [r.getMessage() for r in caplog.records] == [
+        "target 'ghost' matched nothing in any period",
+        "targets matching nothing in some but not all periods: 6 "
+        "('x1', 'x2', 'x3', 'x4', 'x5', ...)"]
+
+
 def test_extract_missing_corpus_exits_2(dataset, capsys):
     (dataset / "old.conllu").unlink()
     code = run(["extract", "-c", dataset / "dataset.yml", "-o", dataset / "s.jsonl"])
@@ -732,7 +748,7 @@ def gz_data(tmp_path_factory):
 
 RUN = ["run"]
 EXTRACT_LOADS = ["yaml", "json", "pathlib"]
-STORE_LOADS = ["json", "fractions", "decimal"]
+STORE_LOADS = ["json"]
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
@@ -744,8 +760,10 @@ STORE_LOADS = ["json", "fractions", "decimal"]
                  *loads_only(*EXTRACT_LOADS, "gzip"), id="extract-gz"),
     pytest.param(RUN + ["score", "{store}", "--features", "combination", "--separate"],
                  *loads_only(*STORE_LOADS), id="score"),
-    pytest.param(RUN + ["classify", "{scores}", "--changepoint"],
-                 *loads_only("fractions", "decimal"), id="classify"),
+    pytest.param(RUN + ["classify", "{scores}", "--changepoint"], *loads_only(),
+                 id="classify"),
+    pytest.param(RUN + ["classify", "{scores}", "--ratio", "0.43"], *loads_only(),
+                 id="classify-ratio"),
     pytest.param(RUN + ["timeline", "{store}", "lass", "Number"], *loads_only("json", "csv"),
                  id="timeline"),
     pytest.param(RUN + ["rank", "{scores}"], *loads_only(), id="rank"),
@@ -759,9 +777,10 @@ STORE_LOADS = ["json", "fractions", "decimal"]
                  *loads_only("numpy"), id="evaluate"),
     pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "logreg"],
                  *loads_only("numpy", *STORE_LOADS), id="analyze-logreg"),
-    # scipy.special itself loads dataclasses, csv and more; not scipy.stats
+    # scipy.special itself loads dataclasses, csv and more; not scipy.stats, fractions or decimal
     pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation"],
-                 ["numpy", "scipy.special", *STORE_LOADS], ["scipy.stats", "yaml", "gzip"],
+                 ["numpy", "scipy.special", *STORE_LOADS],
+                 ["scipy.stats", "yaml", "gzip", "fractions", "decimal"],
                  id="analyze"),
     pytest.param(RUN + ["analyze", "{store}", "{data}/gold.tsv", "--report", "correlation",
                         "--exact-p"], *loads_only("numpy", *STORE_LOADS), id="analyze-exact-p"),
@@ -1212,6 +1231,25 @@ def demo_copy(target, prefix=None, name=None):
         data = (DEMO / each).read_bytes()
         (target / each).write_bytes(prefix + data if each == name else data)
     return target
+
+
+def test_extract_warns_once_about_targets_missing_from_some_periods(tmp_path, capsys,
+                                                                     caplog):
+    """A target lemmatised otherwise in one period only scores the
+    zero-profile distance; extract's report stays as it was, and one
+    warning after it names the target."""
+    d = demo_copy(tmp_path / "data")
+    new = (d / "new.conllu").read_text(encoding="utf-8")
+    (d / "new.conllu").write_text(new.replace("\tlass\tNOUN", "\tlasss\tNOUN"),
+                                  encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert run(["extract", "-c", d / "dataset.yml", "-o", tmp_path / "store.jsonl"]) == 0
+    golden = (Path(__file__).parent / "golden" / "demos" / "extract.out").read_text("utf-8")
+    assert "lass: old=150  new=120\n" in golden
+    assert capsys.readouterr().out == golden.replace("lass: old=150  new=120",
+                                                     "lass: old=150  new=0")
+    assert [r.getMessage() for r in caplog.records] == [
+        "targets matching nothing in some but not all periods: 1 ('lass')"]
 
 
 BOM = b"\xef\xbb\xbf"

@@ -145,6 +145,22 @@ def test_changepoint_matches_exhaustive_oracle_on_tied_scores():
         assert sum(classify_changepoint(ranking).values()) == best_split_oracle(scores)
 
 
+def test_changepoint_matches_exhaustive_oracle_on_extreme_and_tied_scores():
+    """Scaled to integers by the largest power-of-two denominator, the
+    search stays exact across 5e-324, 1e300, negative scores, thirds and
+    exact ties: its split is the oracle's lowest-index argmin."""
+    rng = random.Random(14)
+    pool = [0.0, 5e-324, 1e-300, 1e300, -1e300, -5e-324, 1 / 3, -1 / 3, 2 / 3, 0.5, -0.5,
+            1.0, 3.0]
+    for trial in range(600):
+        n = 3 + trial % 12
+        draw = rng.sample(pool, rng.randrange(1, 5))
+        scores = sorted((rng.choice(draw) for _ in range(n)), reverse=True)
+        ranking = [(f"w{i:02d}", s) for i, s in enumerate(scores)]
+        assert sum(classify_changepoint(ranking).values()) == best_split_oracle(scores), \
+            scores
+
+
 def test_rank_and_topn_invariant_under_monotone_transform():
     rng = random.Random(12)
     for _ in range(50):

@@ -1,14 +1,19 @@
 import math
 import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gramprof.decision import classify_topn
 from gramprof.errors import ConfigError, DataError
 from gramprof.profiles import Profile, build_vectors, separate_categories
-from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
-                              score_separated, score_word_pair, score_period_pair)
+from gramprof.scoring import (MethodConfig, _decimal_ratio, cosine_distance, filter_rare,
+                              score_basic, score_separated, score_word_pair,
+                              score_period_pair)
 
+import synth
 from oracles import cosine_distance_oracle, filter_keeps_oracle
 
 from test_profiles import VERB_MORPH
@@ -188,6 +193,41 @@ def test_filter_matches_fraction_oracle_at_the_boundary():
                 assert ("x" in a) == keep, (threshold, total, joint)
                 a, _ = filter_rare({"x": joint}, {}, total, 5, threshold, per_period=True)
                 assert ("x" in a) == keep, (threshold, total, joint)
+
+
+def test_decimal_ratio_reduces_to_the_fraction_of_str():
+    """The integer parse of ``str(x)``, reduced, is the exact rational
+    of the decimal ``str`` writes, on edge values, random shares and
+    random finite bit patterns."""
+    rng = random.Random(46)
+    patterns = (struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                for _ in range(10_000))
+    values = [0.0, -0.0, 5e-324, 1e-05, 0.07, 0.999999, 1.0, 1e16, 1.5e-07, 1.2345e+20,
+              *(rng.random() for _ in range(10_000)),
+              *(x for x in patterns if math.isfinite(x))]
+    assert len(values) > 19_000
+    for x in values:
+        num, den = _decimal_ratio(x)
+        divisor = math.gcd(num, den)
+        assert (num // divisor, den // divisor) == Fraction(str(x)).as_integer_ratio(), x
+
+
+@pytest.mark.parametrize("share", [0.05, 0.07, 0.29, 0.3])
+def test_a_numpy_float64_share_reads_like_the_python_float(share):
+    """numpy 2 writes ``repr(np.float64(0.07))`` as ``np.float64(0.07)``;
+    the share is read from ``str``, so a float64 filter threshold gives
+    the same scores, and a float64 ratio the same top-n labels."""
+    store = synth.random_store(random.Random(47), 60, ["a", "b"])
+    ranking = [(f"w{i:02d}", 1.0 - i / 100) for i in range(50)]
+    for separation in (False, True):
+        _decimal_ratio.cache_clear()  # equal keys: the float64 must be parsed itself
+        from_float64 = score_period_pair(store.profiles, ("a", "b"), MethodConfig(
+            separation=separation, filter_threshold=np.float64(share)))
+        assert _decimal_ratio.cache_info().currsize == 1
+        assert from_float64 == score_period_pair(store.profiles, ("a", "b"), MethodConfig(
+            separation=separation, filter_threshold=share))
+    _decimal_ratio.cache_clear()
+    assert classify_topn(ranking, np.float64(share)) == classify_topn(ranking, share)
 
 
 def test_filter_zero_threshold_keeps_everything():
