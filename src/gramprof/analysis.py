@@ -291,7 +291,8 @@ def timeline(profiles_by_period: Mapping[str, Profile], category: str
     order. Every period gets a row for every value seen anywhere
     (zero-filled); proportions are per-period relative frequencies.
     The special category name ``syntax`` tabulates dependency
-    relations. Malformed FEATS entries are reported first.
+    relations, and is refused for a word with a FEATS category of that
+    name. Malformed FEATS entries are reported first.
     """
     warn_malformed_feats(profiles_by_period.values())
     per_period_counts: dict[str, dict[str, int]] = {}
@@ -302,6 +303,9 @@ def timeline(profiles_by_period: Mapping[str, Profile], category: str
         if profile.synt:
             available.add(SYNTAX_COLUMN)
         if category == SYNTAX_COLUMN:
+            if SYNTAX_COLUMN in separated:
+                raise DataError(f"this word has a FEATS category named {SYNTAX_COLUMN!r}, "
+                                f"which collides with the syntax column")
             per_period_counts[period] = dict(profile.synt)
         else:
             per_period_counts[period] = separated.get(category, {})

@@ -21,12 +21,12 @@ from .analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
                        category_correlations, standardize, timeline, train_logreg)
 from .conllu import load_targets
 from .decision import average_binary, classify_changepoint, classify_topn, rank_words
-from .errors import ConfigError, DataError, GramprofError, reading
+from .errors import ConfigError, DataError, GramprofError, finite, read_tsv, reading, \
+    zero_or_one
 from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1, \
     per_class_f1, spearman
 from .profiles import ProfileStore, extract_profiles
 from .scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
-from .tsv import finite, read_tsv, zero_or_one
 
 logger = logging.getLogger(__name__)
 
@@ -275,6 +275,9 @@ def cmd_classify(args) -> int:
     ranking = rank_words(_read_score_tsv(args.ranking))
     labels = (classify_changepoint(ranking) if args.changepoint
               else classify_topn(ranking, args.ratio))
+    if len(ranking) > 1 and ranking[0][1] == ranking[-1][1]:
+        logger.warning("%s: all %d scores equal %s, so the labels follow word-id order only",
+                       args.ranking, len(ranking), ranking[0][1])
     with _output(args.output) as stream:
         for word_id, _ in ranking:
             stream.write(f"{word_id}\t{labels[word_id]}\n")
@@ -310,9 +313,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _method_config(args)
-    if args.report == "logreg" and not args.l2 > 0:  # also rejects NaN
+    # also rejects NaN, and a C so small that the penalty weight 1/C overflows
+    if args.report == "logreg" and not (args.l2 > 0 and 1 / args.l2 < float("inf")):
         raise ConfigError(f"--l2: the inverse regularization strength must be positive, "
-                          f"got {args.l2}")
+                          f"with a finite inverse, got {args.l2}")
     store = _load_store(args.store)
     pair = _resolve_pair(store, args.pair)
     gold_records = load_gold(args.gold)

@@ -16,8 +16,7 @@ import logging
 from collections import namedtuple
 from typing import IO, Iterable, Iterator, Optional
 
-from .errors import INPUT_ENCODING, ConfigError, ConlluParseError
-from .tsv import check_word_id, read_tsv
+from .errors import INPUT_ENCODING, ConfigError, ConlluParseError, check_word_id, read_tsv
 
 logger = logging.getLogger(__name__)
 

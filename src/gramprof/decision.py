@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import DataError
+from .errors import DataError, decimal_ratio
 from .evaluation import check_same_words
-from .scoring import _decimal_ratio
 
 Ranking = list[tuple[str, float]]
 
@@ -29,7 +28,7 @@ def classify_topn(ranking: Ranking, ratio: float) -> dict[str, int]:
     stable (0). The count is exact, with the ratio read as its decimal
     and a half rounded up: 0.29 of 50 words is 14.5, so 15. The ratio
     is in [0, 1]: ``classify`` checks ``--ratio``."""
-    num, den = _decimal_ratio(ratio)
+    num, den = decimal_ratio(ratio)
     n = (2 * num * len(ranking) + den) // (2 * den)
     return {word_id: (1 if i < n else 0) for i, (word_id, _) in enumerate(ranking)}
 

@@ -12,8 +12,7 @@ import logging
 from collections import namedtuple
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DataError
-from .tsv import finite, read_tsv, zero_or_one
+from .errors import DataError, finite, read_tsv, zero_or_one
 
 logger = logging.getLogger(__name__)
 

@@ -17,8 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from .conllu import DEPREL, FEATS, TargetIndex, TargetSpec, open_corpus, parse_conllu, \
     parse_feats, strip_deprel_subtype
-from .errors import ConfigError, DataError, reading
-from .tsv import check_word_id
+from .errors import ConfigError, DataError, check_word_id, reading
 
 logger = logging.getLogger(__name__)
 

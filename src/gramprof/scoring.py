@@ -9,13 +9,12 @@ invariant, so no normalisation is needed.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, decimal_ratio
 from .profiles import Profile, build_vectors, separate_categories, warn_malformed_feats
 
 FEATURE_KINDS = ("morphology", "syntax", "average", "combination")
@@ -89,17 +88,6 @@ def cosine_distance(v_a: Sequence[int], v_b: Sequence[int],
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
-@functools.lru_cache(maxsize=64)
-def _decimal_ratio(share: float) -> tuple[int, int]:
-    """A share (a filter threshold, a top-n ratio) as the decimal that
-    ``str`` writes, unreduced: 0.07 gives (7, 100), not the binary float
-    just above 7/100 (numpy 2's ``repr`` of it is ``np.float64(0.07)``)."""
-    digits, _, exponent = str(share).partition("e")
-    whole, _, fraction = digits.partition(".")
-    places = len(fraction) - int(exponent or 0)
-    return int(whole + fraction) * 10 ** max(0, -places), 10 ** max(0, places)
-
-
 def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
                 total_a: int, total_b: int, threshold: float,
                 per_period: bool = False) -> tuple[dict[str, int], dict[str, int]]:
@@ -115,7 +103,7 @@ def filter_rare(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
     give zero cutoffs and keep every key. The threshold is in [0, 1):
     ``MethodConfig`` checks it.
     """
-    num, den = _decimal_ratio(threshold)
+    num, den = decimal_ratio(threshold)
     if per_period:
         cutoff_a, cutoff_b = num * total_a, num * total_b
     else:

@@ -338,6 +338,21 @@ def test_timeline_of_an_unknown_word_counts_the_store_words(tmp_path, capsys):
                                        "'w0000', 'w0001', 'w0002', 'w0003', 'w0004'\n")
 
 
+@pytest.mark.parametrize("argv, labels", [
+    (["--changepoint"], "a\t1\nb\t0\nc\t0\nd\t0\n"),
+    (["--ratio", "0.5"], "a\t1\nb\t1\nc\t0\nd\t0\n"),
+], ids=["changepoint", "ratio"])
+def test_classify_warns_when_every_score_is_equal(tmp_path, capsys, caplog, argv, labels):
+    """All-equal scores carry no ranking: the tie rule labels by word id,
+    and one warning says so."""
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("c\t0.000000\na\t0.000000\nd\t0.000000\nb\t0.000000\n",
+                      encoding="utf-8")
+    assert outcome(["classify", scores, *argv], capsys, caplog) == (0, labels, "", [
+        ("WARNING", f"{scores}: all 4 scores equal 0.0, so the labels follow word-id "
+                    f"order only")])
+
+
 def test_evaluate_binary_warns_once_about_a_class_absent_from_both(tmp_path, caplog):
     (tmp_path / "pred.tsv").write_text("a\t1\nb\t1\n", encoding="utf-8")
     (tmp_path / "gold.tsv").write_text("a\t1\t-\nb\t1\t-\n", encoding="utf-8")
@@ -373,6 +388,29 @@ def test_timeline_csv(dataset, capsys):
     assert lines[0] == "period,value,count,proportion"
     assert lines[1].startswith("old,Plur,2,0.666667")
     assert any(line.startswith("new,Sing,3,1.000000") for line in lines)
+
+
+def test_timeline_syntax_refuses_a_feats_category_named_syntax(tmp_path, capsys):
+    """``syntax`` names the DEPREL table, so a word with a FEATS category
+    of that name is refused, as analyze refuses it; its other
+    categories still work."""
+    store = tmp_path / "store.jsonl"
+    store.write_text(
+        '{"format": "grammatical-profile-store", "periods": ["a", "b"], "version": 1}\n'
+        '{"morph": {"syntax=X|Case=Nom": 2}, "period": "a", "synt": {"nsubj": 2}, '
+        '"total": 2, "word_id": "w"}\n'
+        '{"morph": {"Case=Acc": 1}, "period": "b", "synt": {"obj": 1}, "total": 1, '
+        '"word_id": "w"}\n', encoding="utf-8")
+    capsys.readouterr()
+    assert run(["timeline", store, "w", "syntax"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: this word has a FEATS category named 'syntax', "
+                            "which collides with the syntax column\n")
+    assert run(["timeline", store, "w", "Case"]) == 0
+    assert capsys.readouterr().out == ("period,value,count,proportion\n"
+                                       "a,Acc,0,0.000000\na,Nom,2,1.000000\n"
+                                       "b,Acc,1,1.000000\nb,Nom,0,0.000000\n")
 
 
 def test_timeline_unknown_word(dataset, capsys):
@@ -675,7 +713,8 @@ def test_pair_naming_one_period_twice_exits_2(demo, tmp_path, capsys, command, m
     assert f"error: {message}" in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+# 1e-320 and 5e-324 are positive, but the penalty weight 1/C overflows to inf
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "1e-320", "5e-324"])
 def test_analyze_l2_must_be_positive(demo, capsys, value):
     capsys.readouterr()
     assert run(["analyze", demo["store"], DEMO / "gold.tsv", "--report", "logreg",
@@ -685,7 +724,7 @@ def test_analyze_l2_must_be_positive(demo, capsys, value):
     assert "inverse regularization strength must be positive" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "1e-320"])
 def test_analyze_l2_is_checked_before_the_store_is_read(tmp_path, capsys, value):
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text("not json\n", encoding="utf-8")

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from gramprof.decision import classify_topn
-from gramprof.errors import ConfigError, DataError
+from gramprof.errors import ConfigError, DataError, decimal_ratio
 from gramprof.profiles import Profile, build_vectors, separate_categories
-from gramprof.scoring import (MethodConfig, _decimal_ratio, cosine_distance, filter_rare,
-                              score_basic, score_separated, score_word_pair,
-                              score_period_pair)
+from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
+                              score_separated, score_word_pair, score_period_pair)
 
 import synth
 from oracles import cosine_distance_oracle, filter_keeps_oracle
@@ -207,7 +206,7 @@ def test_decimal_ratio_reduces_to_the_fraction_of_str():
               *(x for x in patterns if math.isfinite(x))]
     assert len(values) > 19_000
     for x in values:
-        num, den = _decimal_ratio(x)
+        num, den = decimal_ratio(x)
         divisor = math.gcd(num, den)
         assert (num // divisor, den // divisor) == Fraction(str(x)).as_integer_ratio(), x
 
@@ -220,13 +219,13 @@ def test_a_numpy_float64_share_reads_like_the_python_float(share):
     store = synth.random_store(random.Random(47), 60, ["a", "b"])
     ranking = [(f"w{i:02d}", 1.0 - i / 100) for i in range(50)]
     for separation in (False, True):
-        _decimal_ratio.cache_clear()  # equal keys: the float64 must be parsed itself
+        decimal_ratio.cache_clear()  # equal keys: the float64 must be parsed itself
         from_float64 = score_period_pair(store.profiles, ("a", "b"), MethodConfig(
             separation=separation, filter_threshold=np.float64(share)))
-        assert _decimal_ratio.cache_info().currsize == 1
+        assert decimal_ratio.cache_info().currsize == 1
         assert from_float64 == score_period_pair(store.profiles, ("a", "b"), MethodConfig(
             separation=separation, filter_threshold=share))
-    _decimal_ratio.cache_clear()
+    decimal_ratio.cache_clear()
     assert classify_topn(ranking, np.float64(share)) == classify_topn(ranking, share)
 
 
