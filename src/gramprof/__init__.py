@@ -15,11 +15,11 @@ from .analysis import (CategoryCorrelation, FeatureMatrix, LogregResult, Timelin
                        build_feature_matrix, category_correlations, standardize,
                        timeline, train_logreg)
 from .conllu import TargetSpec, load_targets
-from .decision import average_binary, classify_changepoint, classify_topn, rank_words
 from .errors import (ConfigError, ConlluParseError, DataError, GramprofError, finite,
                      read_tsv, zero_or_one)
-from .evaluation import (GoldRecord, accuracy, binary_gold, graded_gold, load_gold,
-                         macro_f1, per_class_f1, spearman)
+from .evaluation import (GoldRecord, accuracy, average_binary, binary_gold,
+                         classify_changepoint, classify_topn, graded_gold, load_gold,
+                         macro_f1, per_class_f1, rank_words, spearman)
 from .profiles import Profile, ProfileStore, extract_profiles
 from .scoring import ChangeScore, MethodConfig, score_period_pair
 

@@ -79,14 +79,10 @@ def build_feature_matrix(profiles: Mapping[tuple[str, str], Profile],
             cells[SYNTAX_COLUMN] = score.d_synt
     word_ids = list(per_word)
     columns = sorted(set().union(*per_word.values()) - {SYNTAX_COLUMN}) + [SYNTAX_COLUMN]
-    values = np.zeros((len(word_ids), len(columns)))
-    missing = np.ones((len(word_ids), len(columns)), dtype=bool)
-    for i, word_id in enumerate(word_ids):
-        for j, column in enumerate(columns):
-            if column in per_word[word_id]:
-                values[i, j] = per_word[word_id][column]
-                missing[i, j] = False
-    return FeatureMatrix(word_ids, columns, values, missing)
+    shape, rows = (len(word_ids), len(columns)), list(per_word.values())
+    values = np.array([[cells.get(c, 0.0) for c in columns] for cells in rows], dtype=float)
+    missing = np.array([[c not in cells for c in columns] for cells in rows], dtype=bool)
+    return FeatureMatrix(word_ids, columns, values.reshape(shape), missing.reshape(shape))
 
 
 def standardize(matrix: FeatureMatrix) -> tuple[FeatureMatrix, list[str]]:

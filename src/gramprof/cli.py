@@ -20,11 +20,10 @@ from . import __version__
 from .analysis import (LOGREG_L2_INVERSE_STRENGTH, build_feature_matrix,
                        category_correlations, standardize, timeline, train_logreg)
 from .conllu import load_targets
-from .decision import average_binary, classify_changepoint, classify_topn, rank_words
 from .errors import ConfigError, DataError, GramprofError, finite, read_tsv, reading, \
     zero_or_one
-from .evaluation import accuracy, binary_gold, graded_gold, load_gold, macro_f1, \
-    per_class_f1, spearman
+from .evaluation import accuracy, average_binary, binary_gold, classify_changepoint, \
+    classify_topn, graded_gold, load_gold, macro_f1, per_class_f1, rank_words, spearman
 from .profiles import ProfileStore, extract_profiles
 from .scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
 
@@ -226,20 +225,20 @@ def cmd_extract(args) -> int:
         store.save(stream)
     # The store may be on stdout; the report must not follow it there.
     report = sys.stderr if args.output == "-" else sys.stdout
-    partial = []
+    never, partial = [], []
     for word_id in store.word_ids:
         totals = [profiles[(word_id, period)].total for period in store.periods]
         counts = "  ".join(f"{period}={total}"
                            for period, total in zip(store.periods, totals))
         print(f"{word_id}: {counts}", file=report)
         if not any(totals):
-            logger.warning("target %r matched nothing in any period", word_id)
+            never.append(word_id)
         elif not all(totals):
             partial.append(word_id)
-    if partial:  # counted and named like check_same_words' sides
-        logger.warning("targets matching nothing in some but not all periods: %d (%s%s)",
-                       len(partial), ", ".join(map(repr, partial[:5])),
-                       ", ..." if len(partial) > 5 else "")
+    for where, words in (("in any period", never), ("in some but not all periods", partial)):
+        if words:  # counted and named like check_same_words' sides
+            logger.warning("targets matching nothing %s: %d (%s%s)", where, len(words),
+                           ", ".join(map(repr, words[:5])), ", ..." if len(words) > 5 else "")
     logger.info("wrote %d profiles to %s", len(profiles), args.output)
     return 0
 

@@ -128,11 +128,12 @@ def finite(text: str, what: str) -> float:
     return value
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def decimal_ratio(share: float) -> tuple[int, int]:
     """A share (a filter threshold, a top-n ratio) as the decimal that
     ``str`` writes, unreduced: 0.07 gives (7, 100), not the binary float
-    just above 7/100 (numpy 2's ``repr`` of it is ``np.float64(0.07)``)."""
+    just above 7/100 (numpy 2's ``repr`` of it is ``np.float64(0.07)``).
+    The cache is typed: 0.0 and False are equal, but only 0.0 is a decimal."""
     digits, _, exponent = str(share).partition("e")
     whole, _, fraction = digits.partition(".")
     places = len(fraction) - int(exponent or 0)

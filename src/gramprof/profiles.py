@@ -188,35 +188,29 @@ class ProfileStore:
     def save(self, stream: TextIO) -> None:
         """Write the store as JSON lines: a version header followed by
         one record per (word_id, period) key. A key whose period is not
-        in ``periods``, or whose word id is not one, raises DataError before
-        anything is written, since ``load`` would reject it."""
+        in ``periods`` or whose word id is not one, and a header or a
+        grid that ``load`` would reject, raise DataError before anything
+        is written. The per-record count rules stay in ``load``:
+        extraction builds consistent counts, and checking them would
+        cost about a third of the write."""
         import json
-        order = {label: i for i, label in enumerate(self.periods)}
-        try:
-            keys = sorted(self.profiles, key=lambda k: (k[0], order[k[1]]))
-        except KeyError:
-            key = next(k for k in self.profiles if k[1] not in order)
-            raise DataError(f"profile key {key!r}: period not in {self.periods!r}") from None
-        for key in keys:
+        for key in self.profiles:
+            if key[1] not in self.periods:
+                raise DataError(f"profile key {key!r}: period not in {self.periods!r}")
             if type(key[0]) is not str:
                 raise DataError(f"profile key {key!r}: word id is not a string")
             check_word_id(key[0], lambda message: DataError(f"profile key {key!r}: {message}"))
-        header = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "periods": self.periods,
-            "options": self.options,
-        }
+        _check_header(self.periods, self.options)
+        _check_grid(self.periods, self.profiles)
+        order = {label: i for i, label in enumerate(self.periods)}
+        keys = sorted(self.profiles, key=lambda k: (k[0], order[k[1]]))
+        header = {"format": STORE_FORMAT, "version": STORE_VERSION,
+                  "periods": self.periods, "options": self.options}
         stream.write(json.dumps(header, sort_keys=True) + "\n")
         for (word_id, period) in keys:
             p = self.profiles[(word_id, period)]
-            record = {
-                "word_id": word_id,
-                "period": period,
-                "total": p.total,
-                "morph": p.morph,
-                "synt": p.synt,
-            }
+            record = {"word_id": word_id, "period": period, "total": p.total,
+                      "morph": p.morph, "synt": p.synt}
             stream.write(json.dumps(record, sort_keys=True) + "\n")
 
     @classmethod
@@ -234,19 +228,8 @@ class ProfileStore:
         if header.get("version") != STORE_VERSION:
             raise DataError(f"unsupported profile store version {header.get('version')!r}")
         periods, options = header.get("periods", []), header.get("options", {})
-        if type(periods) is not list or not all(type(p) is str for p in periods):
-            raise DataError(f"profile store header: periods must be a list of strings, "
-                            f"got {periods!r}")
-        if type(options) is not dict:
-            raise DataError(f"profile store header: options must be an object, "
-                            f"got {options!r}")
-        if len(periods) < 2:
-            raise DataError(f"profile store header lists periods {periods}; a store "
-                            f"needs at least two")
+        _check_header(periods, options)
         known_periods = set(periods)
-        if len(known_periods) != len(periods):
-            label = next(p for i, p in enumerate(periods) if p in periods[:i])
-            raise DataError(f"profile store header lists period {label!r} more than once")
         profiles: dict[tuple[str, str], Profile] = {}
         for line_number, record in _decoded_records(stream):
             try:
@@ -282,14 +265,35 @@ class ProfileStore:
             if key in profiles:
                 raise DataError(f"profile store line {line_number}: duplicate record {key}")
             profiles[key] = Profile(morph, synt, total)
-        if not profiles:
-            raise DataError("profile store has a header but no record")
-        for word_id in sorted({word_id for word_id, _ in profiles}):
-            for period in periods:
-                if (word_id, period) not in profiles:
-                    raise DataError(f"profile store: missing profile for word {word_id!r} "
-                                    f"in period {period!r}")
+        _check_grid(periods, profiles)
         return cls(periods=periods, profiles=profiles, options=options)
+
+
+def _check_header(periods, options) -> None:
+    """DataError unless periods is a list of 2+ distinct strings and options a dict."""
+    if type(periods) is not list or not all(type(p) is str for p in periods):
+        raise DataError(f"profile store header: periods must be a list of strings, "
+                        f"got {periods!r}")
+    if type(options) is not dict:
+        raise DataError(f"profile store header: options must be an object, "
+                        f"got {options!r}")
+    if len(periods) < 2:
+        raise DataError(f"profile store header lists periods {periods}; a store "
+                        f"needs at least two")
+    if len(set(periods)) != len(periods):
+        label = next(p for i, p in enumerate(periods) if p in periods[:i])
+        raise DataError(f"profile store header lists period {label!r} more than once")
+
+
+def _check_grid(periods: list[str], profiles: Mapping[tuple[str, str], Profile]) -> None:
+    """DataError unless there is a profile, and every word has one in every period."""
+    if not profiles:
+        raise DataError("profile store has a header but no record")
+    for word_id in sorted({word_id for word_id, _ in profiles}):
+        for period in periods:
+            if (word_id, period) not in profiles:
+                raise DataError(f"profile store: missing profile for word {word_id!r} "
+                                f"in period {period!r}")
 
 
 # Record lines are decoded this many at a time, by one json.loads over the

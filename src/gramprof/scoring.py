@@ -42,10 +42,16 @@ class MethodConfig(namedtuple(
             raise ConfigError(f"unknown feature kind {self.feature_kind!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if not 0.0 <= self.filter_threshold < 1.0:
-            raise ConfigError("filter threshold must be in [0, 1)")
-        if not 0.0 <= self.zero_profile_distance <= 1.0:
-            raise ConfigError("zero-profile distance must be in [0, 1]")
+        try:
+            if not 0.0 <= self.filter_threshold < 1.0:
+                raise ConfigError("filter threshold must be in [0, 1)")
+            decimal_ratio(self.filter_threshold)  # as filter_rare reads it
+            if not 0.0 <= self.zero_profile_distance <= 1.0:
+                raise ConfigError("zero-profile distance must be in [0, 1]")
+        except (TypeError, ValueError):
+            raise ConfigError(f"cannot read filter threshold {self.filter_threshold!r} and "
+                              f"zero-profile distance {self.zero_profile_distance!r} as "
+                              f"decimal numbers") from None
         if self.feature_kind == "combination" and not self.separation:
             raise ConfigError("the combination method requires category separation")
 

@@ -20,8 +20,7 @@ import pytest
 
 from gramprof.analysis import build_feature_matrix, category_correlations, \
     standardize, train_logreg
-from gramprof.decision import classify_changepoint, rank_words
-from gramprof.evaluation import graded_gold, spearman
+from gramprof.evaluation import classify_changepoint, graded_gold, rank_words, spearman
 from gramprof.profiles import Profile, extract_profiles, separate_categories
 from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
                               score_separated, score_period_pair, score_word_pair)

@@ -17,7 +17,7 @@ import gramprof
 from gramprof import cli
 from gramprof.analysis import LOGREG_L2_INVERSE_STRENGTH
 from gramprof.cli import main
-from gramprof.decision import classify_changepoint, rank_words
+from gramprof.evaluation import classify_changepoint, rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import AGGREGATIONS, FEATURE_KINDS, MethodConfig, score_period_pair
 import synth
@@ -119,11 +119,16 @@ def test_extract_store_cardinality(dataset):
 
 
 def test_extract_warns_about_unmatched_target(dataset, caplog):
+    """Targets that match nothing at all are counted and named in one
+    warning, the first five of them."""
     targets = dataset / "targets.tsv"
-    targets.write_text(TARGETS + "ghost\tghost\n", encoding="utf-8")
+    targets.write_text(TARGETS + "".join(f"ghost{i}\tghost{i}\n" for i in range(1, 8)),
+                       encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         extract(dataset)
-    assert any("ghost" in record.message for record in caplog.records)
+    assert [r.getMessage() for r in caplog.records] == [
+        "targets matching nothing in any period: 7 "
+        "('ghost1', 'ghost2', 'ghost3', 'ghost4', 'ghost5', ...)"]
 
 
 def test_extract_counts_targets_missing_from_some_periods_and_names_five(dataset, caplog):
@@ -137,7 +142,7 @@ def test_extract_counts_targets_missing_from_some_periods_and_names_five(dataset
     with caplog.at_level(logging.WARNING):
         extract(dataset)
     assert [r.getMessage() for r in caplog.records] == [
-        "target 'ghost' matched nothing in any period",
+        "targets matching nothing in any period: 1 ('ghost')",
         "targets matching nothing in some but not all periods: 6 "
         "('x1', 'x2', 'x3', 'x4', 'x5', ...)"]
 
@@ -1547,10 +1552,14 @@ def test_pair_with_a_period_no_word_occurs_in_exits_1(tmp_path, argv, empty):
 ], ids=["one-period", "header-only", "no-word-in-new"])
 def test_store_that_cannot_give_a_ranking_exits_1_in_process(tmp_path, capsys, periods,
                                                              totals, message):
+    # written line by line: save refuses the first two stores itself
     path = tmp_path / "store.jsonl"
-    with open(path, "w", encoding="utf-8") as f:
-        ProfileStore(periods, {(w, period): Profile({}, {"nsubj": n} if n else {}, n)
-                               for period, n in totals.items() for w in ("a", "b")}).save(f)
+    path.write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in [
+        {"format": "grammatical-profile-store", "version": 1, "periods": periods,
+         "options": {}},
+        *({"word_id": w, "period": period, "total": n, "morph": {},
+           "synt": {"nsubj": n} if n else {}} for period, n in totals.items()
+          for w in ("a", "b"))]), encoding="utf-8")
     capsys.readouterr()
     assert run(["score", path]) == 1
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gramprof.decision import average_binary, classify_changepoint, classify_topn, rank_words
+from gramprof.evaluation import average_binary, classify_changepoint, classify_topn, rank_words
 from gramprof.errors import DataError
 
 from oracles import best_split_oracle, topn_count_oracle

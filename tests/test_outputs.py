@@ -39,7 +39,7 @@ import golden
 import gramprof
 import synth
 from gramprof import cli
-from gramprof.decision import rank_words
+from gramprof.evaluation import rank_words
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import score_period_pair
 from oracles import method_oracle

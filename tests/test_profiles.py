@@ -473,6 +473,33 @@ def test_store_save_rejects_a_word_id_that_is_not_a_string():
     assert buffer.getvalue() == ""
 
 
+# Each store is one that ``load`` rejects; ``save`` refuses it with the
+# same message. A grid gap leaves word 'w' without a profile in 'b'.
+@pytest.mark.parametrize("periods, profiles, options, message", [
+    (["a"], {("w", "a"): Profile()}, {},
+     "profile store header lists periods ['a']; a store needs at least two"),
+    (["a", "a"], {("w", "a"): Profile()}, {},
+     "profile store header lists period 'a' more than once"),
+    (["a", ["b"]], {("w", "a"): Profile()}, {},
+     "profile store header: periods must be a list of strings, got ['a', ['b']]"),
+    (["a", "b"], {("w", "a"): Profile(), ("w", "b"): Profile()}, [1],
+     "profile store header: options must be an object, got [1]"),
+    (["a", "b"], {}, {}, "profile store has a header but no record"),
+    (["a", "b"], {("v", "a"): Profile(), ("v", "b"): Profile(), ("w", "a"): Profile()}, {},
+     "profile store: missing profile for word 'w' in period 'b'"),
+    (["a", "b"], {("x", "a"): Profile(), ("x", "b"): Profile(), (5, "a"): Profile(),
+                  (5, "b"): Profile()}, {},
+     "profile key (5, 'a'): word id is not a string"),
+], ids=["one-period", "repeated-period", "period-not-string", "options-not-object",
+        "no-profile", "grid-gap", "mixed-word-id-types"])
+def test_store_save_refuses_what_load_rejects(periods, profiles, options, message):
+    buffer = io.StringIO()
+    with pytest.raises(DataError) as caught:
+        ProfileStore(periods, profiles, options).save(buffer)
+    assert str(caught.value) == message
+    assert buffer.getvalue() == ""
+
+
 def test_store_rejects_wrong_format():
     with pytest.raises(DataError):
         ProfileStore.load(io.StringIO('{"format": "something-else", "version": 1}\n'))

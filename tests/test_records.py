@@ -5,6 +5,9 @@ are mutable, since extraction fills them. Either kind compares equal
 to a record of its own class with equal fields.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from gramprof.analysis import (CategoryCorrelation, FeatureMatrix, LogregResult,
                                build_feature_matrix)
 from gramprof.cli import DatasetSpec
 from gramprof.conllu import TargetSpec
-from gramprof.errors import ConfigError, DataError
+from gramprof.errors import ConfigError, DataError, decimal_ratio
 from gramprof.evaluation import GoldRecord
 from gramprof.profiles import Profile, ProfileStore
 from gramprof.scoring import ChangeScore, MethodConfig
@@ -76,6 +79,7 @@ def test_record_construction_and_defaults(cls, args, kwargs, expected):
 def test_records_compare_by_fields(cls, args, kwargs, expected):
     record, again = cls(*args, **kwargs), cls(*args, **kwargs)
     assert again == record and not again != record
+    assert record != object() and not record == object()
     changed = cls(*args, **kwargs)
     name = next(iter(expected))
     if cls in (Profile, ProfileStore):
@@ -150,6 +154,33 @@ def test_records_check_their_fields_with_the_same_messages(build, error, message
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("filter_threshold", "0.05"), ("filter_threshold", None),
+    ("filter_threshold", Fraction(1, 20)), ("filter_threshold", False),
+    ("zero_profile_distance", "1"), ("zero_profile_distance", None),
+], ids=["threshold-str", "threshold-none", "threshold-fraction", "threshold-false",
+        "zero-distance-str", "zero-distance-none"])
+def test_method_config_refuses_a_number_it_cannot_read_or_compare(field, value):
+    """A str or None does not compare with a number; Fraction(1, 20) and
+    False are not written as decimals, the way filter_rare reads a share,
+    though the cache holds values equal to them."""
+    decimal_ratio.cache_clear()
+    decimal_ratio(Decimal("0.05")), decimal_ratio(0.0)
+    config = {"filter_threshold": 0.05, "zero_profile_distance": 1.0, field: value}
+    with pytest.raises(ConfigError) as caught:
+        MethodConfig(**config)
+    assert str(caught.value) == (
+        f"cannot read filter threshold {config['filter_threshold']!r} and zero-profile "
+        f"distance {config['zero_profile_distance']!r} as decimal numbers")
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0, np.float64(0.05), Decimal("0.05")],
+                         ids=["float", "int", "float64", "decimal"])
+def test_method_config_takes_a_threshold_whose_str_is_a_decimal(threshold):
+    decimal_ratio.cache_clear()
+    assert MethodConfig(filter_threshold=threshold).filter_threshold is threshold
 
 
 def test_feature_matrix_checks_the_config_it_builds():

@@ -1,12 +1,13 @@
 import math
 import random
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gramprof.decision import classify_topn
+from gramprof.evaluation import classify_topn
 from gramprof.errors import ConfigError, DataError, decimal_ratio
 from gramprof.profiles import Profile, build_vectors, separate_categories
 from gramprof.scoring import (MethodConfig, cosine_distance, filter_rare, score_basic,
@@ -209,6 +210,16 @@ def test_decimal_ratio_reduces_to_the_fraction_of_str():
         num, den = decimal_ratio(x)
         divisor = math.gcd(num, den)
         assert (num // divisor, den // divisor) == Fraction(str(x)).as_integer_ratio(), x
+
+
+def test_a_share_reads_the_same_whatever_the_cache_holds():
+    """Decimal("0.05") equals Fraction(1, 20) and 0.0 equals False, with
+    equal hashes; each is read from its own ``str``, cached first or not."""
+    decimal_ratio.cache_clear()
+    assert decimal_ratio(Decimal("0.05")) == (5, 100) and decimal_ratio(0.0) == (0, 10)
+    for share in (Fraction(1, 20), False):
+        with pytest.raises(ValueError):
+            decimal_ratio(share)
 
 
 @pytest.mark.parametrize("share", [0.05, 0.07, 0.29, 0.3])
