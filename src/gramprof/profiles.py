@@ -194,13 +194,13 @@ class ProfileStore:
         extraction builds consistent counts, and checking them would
         cost about a third of the write."""
         import json
+        _check_header(self.periods, self.options)
         for key in self.profiles:
             if key[1] not in self.periods:
                 raise DataError(f"profile key {key!r}: period not in {self.periods!r}")
             if type(key[0]) is not str:
                 raise DataError(f"profile key {key!r}: word id is not a string")
             check_word_id(key[0], lambda message: DataError(f"profile key {key!r}: {message}"))
-        _check_header(self.periods, self.options)
         _check_grid(self.periods, self.profiles)
         order = {label: i for i, label in enumerate(self.periods)}
         keys = sorted(self.profiles, key=lambda k: (k[0], order[k[1]]))

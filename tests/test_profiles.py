@@ -482,6 +482,8 @@ def test_store_save_rejects_a_word_id_that_is_not_a_string():
      "profile store header lists period 'a' more than once"),
     (["a", ["b"]], {("w", "a"): Profile()}, {},
      "profile store header: periods must be a list of strings, got ['a', ['b']]"),
+    (None, {("w", "a"): Profile()}, {},
+     "profile store header: periods must be a list of strings, got None"),
     (["a", "b"], {("w", "a"): Profile(), ("w", "b"): Profile()}, [1],
      "profile store header: options must be an object, got [1]"),
     (["a", "b"], {}, {}, "profile store has a header but no record"),
@@ -490,8 +492,8 @@ def test_store_save_rejects_a_word_id_that_is_not_a_string():
     (["a", "b"], {("x", "a"): Profile(), ("x", "b"): Profile(), (5, "a"): Profile(),
                   (5, "b"): Profile()}, {},
      "profile key (5, 'a'): word id is not a string"),
-], ids=["one-period", "repeated-period", "period-not-string", "options-not-object",
-        "no-profile", "grid-gap", "mixed-word-id-types"])
+], ids=["one-period", "repeated-period", "period-not-string", "periods-none",
+        "options-not-object", "no-profile", "grid-gap", "mixed-word-id-types"])
 def test_store_save_refuses_what_load_rejects(periods, profiles, options, message):
     buffer = io.StringIO()
     with pytest.raises(DataError) as caught:
